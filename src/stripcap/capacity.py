@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GeometryError
+from .errors import ConvergenceError, GeometryError, StripcapError
 from .geometry import HALF_PI, SlitSpec, StripSlitDomain
 from .kernels import KernelSet
 from .preimage import IterationConfig, iterate
@@ -177,7 +177,7 @@ def capacity_study(samples):
                     iters=res.preimage.iterations,
                 )
             )
-        except Exception as exc:  # per-sample failures must not kill the sweep
+        except (StripcapError, ValueError) as exc:  # a failed sample, not a bug
             table.append(
                 StudyPoint(
                     param=param, cap=float("nan"), converged=False, iters=0,

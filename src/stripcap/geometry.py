@@ -8,7 +8,8 @@ parameter nodes per component with spectral (FFT) differentiation, so ``n``
 is restricted to powers of two.
 """
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,6 +157,10 @@ class SlitSpec:
     b: complex
 
     def __post_init__(self):
+        for name in ("a", "b"):
+            z = getattr(self, name)
+            if not cmath.isfinite(z):
+                raise GeometryError(f"slit endpoint {name} is not finite: {z}")
         if abs(self.a.imag) >= HALF_PI or abs(self.b.imag) >= HALF_PI:
             raise GeometryError(
                 f"slit endpoints must satisfy |Im| < pi/2: {self.a}, {self.b}"
@@ -331,10 +336,6 @@ class BoundaryParametrization:
     @property
     def flat_t(self):
         return np.tile(self.t, self.m + 1)
-
-    @property
-    def component_of(self):
-        return np.repeat(np.arange(self.m + 1), self.n)
 
     def split(self, flat_values):
         """View a flat length-(m+1)n vector as per-component rows."""

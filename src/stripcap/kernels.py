@@ -20,8 +20,8 @@ finite-difference extrapolation in the tests.
 """
 
 import numpy as np
+from scipy.linalg import circulant
 
-from ._backend import assemble_kernel_matrices
 from .errors import GeometryError
 from .geometry import trig_derivative, winding_number
 
@@ -50,6 +50,40 @@ def _check_interior(bp, alpha):
         raise GeometryError(f"base point {alpha} lies on the boundary")
 
 
+def _assemble(eta, eta_dot, A, diag, n):
+    """Fill and return the dense (N, M1) matrices; raises on coincident nodes.
+
+    Off the diagonal C_ij = (1/pi) (A_i/A_j) eta'_j/(eta_j - eta_i) gives
+    N = Im C and M1 = Re C.  The cot remainder cot(pi (i-j)/n)/(2 pi) only
+    depends on (i - j) mod n, so it is one n x n circulant block added to
+    each diagonal block of M1.  The diagonal entries are the limits ``diag``.
+    """
+    ntot = eta.shape[0]
+    N = np.empty((ntot, ntot))
+    M1 = np.empty((ntot, ntot))
+    col = eta_dot / A / np.pi
+    # chunk rows to keep the complex temporaries bounded (~64 MB each)
+    step = max(1, (1 << 22) // ntot)
+    for i0 in range(0, ntot, step):
+        i1 = min(i0 + step, ntot)
+        dz = eta[None, :] - eta[i0:i1, None]
+        local = np.arange(i1 - i0)
+        dz[local, i0 + local] = 1.0  # any nonzero divisor: overwritten below
+        if not dz.all():
+            raise GeometryError("coincident boundary nodes while assembling kernels")
+        c = (A[i0:i1, None] * col[None, :]) / dz
+        N[i0:i1] = c.imag
+        M1[i0:i1] = c.real
+    k = np.arange(1, n)
+    cot = circulant(np.concatenate([[0.0], 0.5 / np.pi / np.tan(np.pi * k / n)]))
+    for j0 in range(0, ntot, n):
+        M1[j0 : j0 + n, j0 : j0 + n] += cot
+    idx = np.arange(ntot)
+    N[idx, idx] = diag.imag
+    M1[idx, idx] = diag.real
+    return N, M1
+
+
 class KernelSet:
     """Assembled Nystrom data for one geometry and one choice of A.
 
@@ -70,13 +104,8 @@ class KernelSet:
         diag = (
             eta_ddot / (2.0 * bp.eta_dot) - A_dot / self.A
         ).reshape(-1) / np.pi
-        self.N, self.M1 = assemble_kernel_matrices(
-            bp.flat_eta,
-            bp.flat_eta_dot,
-            self.A.reshape(-1),
-            bp.flat_t,
-            bp.component_of,
-            diag,
+        self.N, self.M1 = _assemble(
+            bp.flat_eta, bp.flat_eta_dot, self.A.reshape(-1), diag, bp.n
         )
         self._w = 2.0 * np.pi / bp.n
 
@@ -111,7 +140,3 @@ def singular_cot_part(rows):
     F[..., n // 2] = 0.0
     return np.fft.irfft(F, n=n, axis=-1)
 
-
-def apply_M(gamma, ks):
-    """Convenience wrapper: the discretized M operator from a KernelSet."""
-    return ks.apply_M(gamma)

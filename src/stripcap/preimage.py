@@ -8,7 +8,7 @@ error is the mean mismatch of centers and lengths against the targets.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -211,16 +211,3 @@ def inverse_map(md, points):
     )
     return vals if pts_in.ndim else complex(vals[0])
 
-
-def dump_boundary_csv(md, path):
-    """Debug dump of zeta(t) and f_boundary per node."""
-    with open(path, "w") as fh:
-        fh.write("index,component,t,zeta_re,zeta_im,f_re,f_im\n")
-        for j in range(md.m + 1):
-            for i in range(md.bp.n):
-                z = md.zeta[j, i]
-                f = md.f_boundary[j, i]
-                fh.write(
-                    f"{i},{j},{md.bp.t[i]!r},{z.real!r},{z.imag!r},"
-                    f"{f.real!r},{f.imag!r}\n"
-                )

@@ -1,13 +1,9 @@
 """Shared fixtures: small converged domains reused across test modules."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 import stripcap as sc
-
-warnings.filterwarnings("ignore", module="numba")
 
 
 # The reference four-slit geometry used throughout the suite: two pairs of

@@ -1,101 +1,8 @@
-"""Backend equivalence: numba-compiled kernels vs the pure-numpy fallback."""
+"""The package has one implementation, dense numpy, and says so."""
 
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
-
-from stripcap._backend import (
-    BACKEND,
-    HAVE_NUMBA,
-    _cauchy_numpy,
-    assemble_kernel_matrices,
-    cauchy_sums,
-)
-from stripcap.geometry import BoundaryParametrization, EllipseParams, parametrize_ellipse
-from stripcap.kernels import KernelSet
-
-
-def two_component_bp(n=128):
-    t = 2 * np.pi * np.arange(n) / n
-    he, hd = parametrize_ellipse(EllipseParams(z=0.3, a=0.5, theta=0.2, r=0.4), n)
-    return BoundaryParametrization(
-        np.vstack([np.exp(1j * t), he]),
-        np.vstack([1j * np.exp(1j * t), hd]),
-    )
+import stripcap
 
 
 class TestEquivalence:
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend not active")
-    def test_cauchy_sums_match_numpy(self):
-        rng = np.random.default_rng(0)
-        bp = two_component_bp()
-        nodes = bp.flat_eta
-        weights = bp.flat_eta_dot * (2 * np.pi / 128)
-        values = rng.standard_normal(nodes.size) + 1j * rng.standard_normal(nodes.size)
-        targets = 0.8 * rng.uniform(-1, 1, 30) + 0.8j * rng.uniform(-1, 1, 30)
-        num_a, den_a, dmin_a = cauchy_sums(nodes, weights, values, targets)
-        num_b, den_b, dmin_b = _cauchy_numpy(
-            nodes, weights, values.astype(complex), targets.astype(complex)
-        )
-        assert np.abs(num_a - num_b).max() < 1e-12 * np.abs(num_b).max()
-        assert np.abs(den_a - den_b).max() < 1e-12 * np.abs(den_b).max()
-        assert np.abs(dmin_a - dmin_b).max() < 1e-14
-
-    def test_kernel_matrices_finite_and_consistent(self):
-        bp = two_component_bp(64)
-        ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]), 0.0)
-        assert np.all(np.isfinite(ks.N))
-        assert np.all(np.isfinite(ks.M1))
-        x = np.cos(3 * bp.flat_t)
-        direct = x - ks.N @ x * (2 * np.pi / 64)
-        assert np.abs(ks.apply_I_minus_N(x) - direct).max() < 1e-12
-
-    def test_forced_numpy_subprocess(self):
-        # the env flag must flip the backend and produce matching numbers
-        code = (
-            "import numpy as np\n"
-            "from stripcap._backend import BACKEND\n"
-            "from stripcap.geometry import SlitSpec, StripSlitDomain\n"
-            "from stripcap.preimage import IterationConfig\n"
-            "from stripcap.capacity import CondenserSpec, capacity\n"
-            "assert BACKEND == 'numpy', BACKEND\n"
-            "dom = StripSlitDomain([SlitSpec(-0.5j, 0.5j)])\n"
-            "res = capacity(CondenserSpec(dom, np.ones(1)),"
-            " IterationConfig(n=64, eps=1e-12))\n"
-            "print(repr(res.cap))\n"
-        )
-        env = dict(os.environ, STRIPCAP_BACKEND="numpy")
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert proc.returncode == 0, proc.stderr
-        cap_numpy = float(proc.stdout.strip())
-        from stripcap.geometry import SlitSpec, StripSlitDomain
-        from stripcap.preimage import IterationConfig
-        from stripcap.capacity import CondenserSpec, capacity
-
-        res = capacity(
-            CondenserSpec(StripSlitDomain([SlitSpec(-0.5j, 0.5j)]), np.ones(1)),
-            IterationConfig(n=64, eps=1e-12),
-        )
-        assert cap_numpy == pytest.approx(res.cap, rel=1e-12)
-
-    def test_invalid_backend_env_rejected(self):
-        env = dict(os.environ, STRIPCAP_BACKEND="cuda")
-        proc = subprocess.run(
-            [sys.executable, "-c", "import stripcap"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert proc.returncode != 0
-        assert "STRIPCAP_BACKEND" in proc.stderr
-
     def test_backend_exported(self):
-        import stripcap
-
-        assert stripcap.BACKEND == BACKEND
-        assert BACKEND in ("numba", "numpy")
+        assert stripcap.BACKEND == "numpy"

@@ -1,5 +1,7 @@
 """Condenser capacity: special functions, oracles, invariances, studies."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,16 @@ class TestStudies:
         assert table[0].converged and np.isfinite(table[0].cap)
         assert not table[1].converged and np.isnan(table[1].cap)
         assert table[1].error
+
+    def test_study_propagates_bugs(self, monkeypatch):
+        # only typed library errors and ValueError count as failed samples;
+        # the package re-exports the function under the module's name
+        capmod = importlib.import_module("stripcap.capacity")
+
+        def broken(spec, cfg):
+            raise RuntimeError("programming error")
+
+        monkeypatch.setattr(capmod, "capacity", broken)
+        dom = StripSlitDomain([SlitSpec(-0.5, 0.5)])
+        with pytest.raises(RuntimeError, match="programming error"):
+            capacity_study([(1.0, CondenserSpec(dom, np.ones(1)), FAST)])

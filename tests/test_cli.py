@@ -166,6 +166,15 @@ class TestCommands:
         proc2 = run_cli(["capacity", "--input", str(tmp_path / "missing.json")])
         assert proc2.returncode == 1
 
+    def test_non_finite_endpoint_exit_1(self, tmp_path):
+        # Python's json module reads the bare token NaN as a float
+        payload = dict(SMALL, slits=[{"a": [float("nan"), -0.5], "b": [0.0, 0.5]}])
+        path = write_problem(tmp_path, payload)
+        assert "NaN" in open(path).read()
+        proc = run_cli(["capacity", "--input", path])
+        assert proc.returncode == 1
+        assert "slit endpoint a is not finite" in proc.stderr
+
     def test_main_callable_in_process(self, tmp_path, capsys):
         # main() is also the programmatic entry point
         path = write_problem(tmp_path, SMALL)

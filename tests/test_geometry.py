@@ -114,6 +114,14 @@ class TestSlitSpec:
         with pytest.raises(sc.GeometryError):
             sc.SlitSpec(1 + 0.1j, 1 + 0.1j)
 
+    def test_rejects_non_finite_endpoints(self):
+        with pytest.raises(sc.GeometryError, match="endpoint a is not finite"):
+            sc.SlitSpec(complex(np.nan, 0.0), 1.0)
+        with pytest.raises(sc.GeometryError, match="endpoint b is not finite"):
+            sc.SlitSpec(0.0, complex(np.inf, 0.1))
+        with pytest.raises(sc.GeometryError, match="endpoint b is not finite"):
+            sc.SlitSpec(0.0, complex(0.0, np.nan))
+
 
 class TestDistances:
     def test_point_segment_distance_vectorized(self):

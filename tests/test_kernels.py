@@ -189,6 +189,40 @@ class TestOperators:
         assert np.abs(ks.apply_N(x) - ref).max() < 1e-12
 
 
+class TestAssembly:
+    def test_kernel_matrices_finite_and_consistent(self):
+        bp = two_component_bp(64)
+        ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]), 0.0)
+        assert np.all(np.isfinite(ks.N))
+        assert np.all(np.isfinite(ks.M1))
+        x = np.cos(3 * bp.flat_t)
+        direct = x - ks.N @ x * (2 * np.pi / 64)
+        assert np.abs(ks.apply_I_minus_N(x) - direct).max() < 1e-12
+
+    def test_M1_oracle_against_direct_formula(self):
+        """Off the diagonal M1 is Re C plus cot((t_i - t_j)/2)/(2 pi) within
+        a component and Re C alone across components."""
+        bp = two_component_bp(64)
+        ks = KernelSet(bp, theta=[np.pi / 2, 0.1], alpha=0.0)
+        eta, dot, A = bp.flat_eta, bp.flat_eta_dot, ks.A.reshape(-1)
+        t, comp = bp.flat_t, np.arange(bp.total) // bp.n
+        for i in (0, 5, 63, 64, 100):
+            off = np.arange(bp.total) != i
+            ref = (A[i] / A[off] * dot[off] / (eta[off] - eta[i])).real / np.pi
+            same = comp[off] == comp[i]
+            ref[same] += 0.5 / np.pi / np.tan(0.5 * (t[i] - t[off][same]))
+            assert np.abs(ks.M1[i, off] - ref).max() < 1e-11
+
+    def test_coincident_holes_rejected(self):
+        one = two_component_bp(64)
+        bp = BoundaryParametrization(  # the hole twice, node for node
+            np.vstack([one.eta, one.eta[1:]]),
+            np.vstack([one.eta_dot, one.eta_dot[1:]]),
+        )
+        with pytest.raises(sc.GeometryError, match="coincident"):
+            KernelSet(bp, np.full(3, np.pi / 2), 0.0)
+
+
 class TestBuildA:
     def test_interior_check(self):
         bp = two_component_bp(64)

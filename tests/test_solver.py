@@ -71,6 +71,24 @@ class TestSolveRho:
             solve_rho(ks, gamma, maxit=2)
         assert len(exc.value.history) >= 1
 
+    def test_scipy_info_flag_ignored_when_residual_met(self, monkeypatch):
+        # scipy may report info != 0 for an iterate that already meets the
+        # true-residual target; only that target decides
+        import stripcap.solver as solver
+
+        real_gmres = solver.gmres
+
+        def flagged_gmres(*args, **kwargs):
+            x, _ = real_gmres(*args, **kwargs)
+            return x, 1
+
+        monkeypatch.setattr(solver, "gmres", flagged_gmres)
+        bp, t = circle_bp(64)
+        ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
+        rho, stats = solve_rho(ks, np.cos(3 * t))
+        assert np.abs(rho - np.sin(3 * t)).max() < 1e-12
+        assert stats.residual <= 10 * 1e-14 * np.abs(ks.apply_M(np.cos(3 * t))).max()
+
     def test_compute_h_matches_bundle(self):
         bp, t = circle_bp(64)
         ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
