@@ -11,7 +11,7 @@ Exact references for single-slit plates come from the Grotzsch ring modulus
 mu(r) built on arithmetic-geometric-mean elliptic integrals.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import ConvergenceError, GeometryError, StripcapError
 from .geometry import HALF_PI, SlitSpec, StripSlitDomain
 from .kernels import KernelSet
 from .preimage import IterationConfig, iterate
+from .solver import DEFAULT_MAXIT, DEFAULT_TOL, solve_bie
 from .stripmap import default_alpha
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,7 @@ class CapacityResult:
     r: float
 
 
-def charges_from_boundary(bp, alphas, tol=1e-14, maxit=100):
+def charges_from_boundary(bp, alphas, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     """Plate charges on a fixed smooth geometry (step 2).
 
     ``alphas`` holds one point strictly inside each hole.  For each plate k
@@ -110,8 +111,6 @@ def charges_from_boundary(bp, alphas, tol=1e-14, maxit=100):
     potential (value 1 on every plate); potential levels enter only in the
     final weighted sum 2*pi*sum(delta_k * a_k).  Returns (a, c).
     """
-    from .solver import solve_bie
-
     m = bp.m
     theta = np.full(m + 1, HALF_PI)  # makes A(t) = eta(t) - alpha
     ks = KernelSet(bp, theta, default_alpha(bp))
@@ -142,7 +141,7 @@ def capacity(spec, cfg=IterationConfig()):
     # a point inside hole k: the image of the ellipse center
     alphas = [np.tanh(p.z / 2.0) for p in pre.params]
     a, c = charges_from_boundary(
-        bp, alphas, tol=cfg.solver_tol, maxit=cfg.solver_maxit
+        bp, alphas, tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit
     )
     cap = 2.0 * np.pi * float(np.dot(spec.delta, a))
     return CapacityResult(cap=cap, a=a, c=c, preimage=pre, n=cfg.n, r=cfg.r)
@@ -199,14 +198,7 @@ def _two_slit_domain(offset, half):
 def two_vertical_family(values, base_cfg):
     """Example family: E = (-x + [-i, i]) u (x + [-i, i]); r clamps to x/2."""
     for x in values:
-        cfg = IterationConfig(
-            n=base_cfg.n,
-            r=min(base_cfg.r, 0.5 * x),
-            eps=base_cfg.eps,
-            max_iter=base_cfg.max_iter,
-            solver_tol=base_cfg.solver_tol,
-            solver_maxit=base_cfg.solver_maxit,
-        )
+        cfg = replace(base_cfg, r=min(base_cfg.r, 0.5 * x))
         yield x, CondenserSpec(_two_slit_domain(float(x), 1j)), cfg
 
 

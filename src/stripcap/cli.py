@@ -8,7 +8,7 @@ Problem files are JSON; see README for the schema.  Exit codes: 0 success,
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .capacity import (
     CondenserSpec,
     capacity,
     capacity_study,
-    charges_from_boundary,
     exact_cap_horizontal,
     exact_cap_vertical,
     random_slits_family,
@@ -26,15 +25,6 @@ from .errors import ConvergenceError, StripcapError
 from .flow import GridSpec, horizontal_slit_map, stream_grid
 from .geometry import HALF_PI, StripSlitDomain
 from .preimage import IterationConfig, iterate
-
-DEFAULT_NUMERICS = {
-    "n": 1024,
-    "r": 0.2,
-    "eps": 1e-14,
-    "max_iter": 100,
-    "solver_tol": 1e-14,
-    "solver_maxit": 100,
-}
 
 
 @dataclass
@@ -53,7 +43,7 @@ class ProblemFile:
             raise ValueError("problem file needs a non-empty 'slits' list")
         domain = StripSlitDomain.from_dict(data)
         numerics = dict(data.get("numerics", {}))
-        unknown = set(numerics) - set(DEFAULT_NUMERICS)
+        unknown = set(numerics) - {f.name for f in fields(IterationConfig)}
         if unknown:
             raise ValueError(f"unknown numerics keys: {sorted(unknown)}")
         return cls(
@@ -82,12 +72,9 @@ class ProblemFile:
         return out
 
     def config(self, overrides=None):
-        values = dict(DEFAULT_NUMERICS)
-        values.update(self.numerics)
-        for key, val in (overrides or {}).items():
-            if val is not None:
-                values[key] = val
-        return IterationConfig(**values)
+        """IterationConfig defaults, then the file, then non-None overrides."""
+        given = {k: v for k, v in (overrides or {}).items() if v is not None}
+        return IterationConfig(**{**self.numerics, **given})
 
 
 def _write_json(path, payload):
@@ -103,26 +90,7 @@ def _complex_pairs(arr):
     return [[z.real, z.imag] for z in np.asarray(arr).reshape(-1)]
 
 
-def _overrides(args):
-    return {
-        "n": args.n,
-        "r": args.r,
-        "eps": args.eps,
-        "max_iter": args.max_iter,
-    }
-
-
-def _emit_config(problem, args):
-    cfg = problem.config(_overrides(args))
-    print(json.dumps(asdict(cfg), sort_keys=True))
-
-
-def cmd_preimage(args):
-    problem = ProblemFile.load(args.input)
-    if args.emit_config:
-        _emit_config(problem, args)
-        return 0
-    cfg = problem.config(_overrides(args))
+def cmd_preimage(args, problem, cfg):
     lines = (lambda rec: print(json.dumps(rec, sort_keys=True))) if args.progress else None
     result = iterate(problem.domain, cfg, progress=lines)
     payload = {
@@ -159,12 +127,7 @@ def _parse_exact(text):
     raise ValueError(f"unknown exact-formula kind {kind!r}")
 
 
-def cmd_capacity(args):
-    problem = ProblemFile.load(args.input)
-    if args.emit_config:
-        _emit_config(problem, args)
-        return 0
-    cfg = problem.config(_overrides(args))
+def cmd_capacity(args, problem, cfg):
     spec = CondenserSpec(problem.domain, problem.delta)
     if problem.delta is None:
         print(f"# delta not given; defaulting to all ones (m={problem.domain.m})")
@@ -193,12 +156,7 @@ def cmd_capacity(args):
     return 0
 
 
-def cmd_flow(args):
-    problem = ProblemFile.load(args.input)
-    if args.emit_config:
-        _emit_config(problem, args)
-        return 0
-    cfg = problem.config(_overrides(args))
+def cmd_flow(args, problem, cfg):
     spec = problem.flow or {}
     try:
         grid = GridSpec(
@@ -211,13 +169,14 @@ def cmd_flow(args):
         )
     except (TypeError, IndexError, ValueError) as exc:
         raise ValueError(f"malformed flow grid spec: {exc}") from exc
-    exclusion = float(spec.get("exclusion", 0.02))
+    # stream_grid owns the default exclusion distance
+    options = {"exclusion": float(spec["exclusion"])} if "exclusion" in spec else {}
     pre = iterate(problem.domain, cfg)
     if not pre.converged:
         print("preimage iteration did not converge", file=sys.stderr)
         return 2
     upsilon = horizontal_slit_map(pre)
-    out_field = stream_grid(pre, upsilon, grid, exclusion=exclusion)
+    out_field = stream_grid(pre, upsilon, grid, **options)
     if args.json:
         out_field.to_json(args.out or "flow.json")
     else:
@@ -239,12 +198,7 @@ def cmd_exact(args):
     return 0
 
 
-def cmd_study(args):
-    problem = ProblemFile.load(args.input)
-    if args.emit_config:
-        _emit_config(problem, args)
-        return 0
-    cfg = problem.config(_overrides(args))
+def cmd_study(args, problem, cfg):
     spec = problem.study
     if not spec or "family" not in spec:
         raise ValueError("problem file needs a 'study' section with a 'family'")
@@ -283,15 +237,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True, help="problem JSON file")
+    def common(p):
+        p.add_argument("--input", required=True, help="problem JSON file")
         p.add_argument("--out", help="output file (default: stdout / cwd)")
         p.add_argument("--n", type=int, help="nodes per boundary component")
         p.add_argument("--r", type=float, help="ellipse aspect ratio")
         p.add_argument("--eps", type=float, help="outer stopping tolerance")
         p.add_argument("--max-iter", type=int, dest="max_iter")
-        p.add_argument("--seed", type=int, help="RNG seed for studies")
         p.add_argument(
             "--emit-config",
             action="store_true",
@@ -320,15 +272,29 @@ def build_parser():
 
     p = sub.add_parser("study", help="run a capacity parameter sweep")
     common(p)
+    p.add_argument("--seed", type=int, help="RNG seed for random families")
     p.set_defaults(func=cmd_study)
     return parser
+
+
+def run(args):
+    """Load the problem and resolve its numerics, then run the subcommand."""
+    if args.command == "exact":
+        return cmd_exact(args)
+    problem = ProblemFile.load(args.input)
+    overrides = {k: getattr(args, k) for k in ("n", "r", "eps", "max_iter")}
+    cfg = problem.config(overrides)
+    if args.emit_config:
+        print(json.dumps(asdict(cfg), sort_keys=True))
+        return 0
+    return args.func(args, problem, cfg)
 
 
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return run(args)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,6 +26,9 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for name in ("x_min", "x_max", "y_min", "y_max"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"grid bound {name} is not finite")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 points per axis")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -74,10 +77,14 @@ class FlowField:
 
 
 def horizontal_slit_map(pre):
-    """Second canonical map from the converged preimage: all angles zero."""
+    """Second canonical map from the converged preimage: all angles zero,
+    solved with the run's own solver settings."""
     md = pre.map
     theta = np.zeros(md.bp.m + 1)
-    return build_map(md.bp, theta, alpha=md.alpha)
+    return build_map(
+        md.bp, theta, alpha=md.alpha,
+        tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit,
+    )
 
 
 def complex_potential(pre, upsilon, points):

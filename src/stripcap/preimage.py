@@ -7,30 +7,47 @@ All ellipses update simultaneously, with no damping.  The per-iteration
 error is the mean mismatch of centers and lengths against the targets.
 """
 
+import math
 import time
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import OverlapError
 from .geometry import EllipseParams, build_preimage_boundary
+from .solver import DEFAULT_MAXIT, DEFAULT_TOL
 from .stripmap import build_map, extract_slit_images
 
 
 @dataclass(frozen=True)
 class IterationConfig:
+    """The numerics of one run; the only place their defaults are defined."""
+
     n: int = 1024
     r: float = 0.2
     eps: float = 1e-14
     max_iter: int = 100
-    solver_tol: float = 1e-14
-    solver_maxit: int = 100
+    solver_tol: float = DEFAULT_TOL
+    solver_maxit: int = DEFAULT_MAXIT
 
     def __post_init__(self):
-        if not (0.0 < self.r <= 1.0):
-            raise ValueError(f"aspect ratio r must be in (0, 1], got {self.r}")
-        if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+        for name in ("n", "max_iter", "solver_maxit"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+        if self.n < 8 or self.n & (self.n - 1):
+            raise ValueError(f"n must be a power of two >= 8, got {self.n!r}")
+        for name, hi, interval in (
+            ("r", 1.0, "(0, 1]"),
+            ("eps", math.inf, "(0, inf)"),
+            ("solver_tol", 1e-6, "(0, 1e-6]"),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not (
+                0.0 < value <= hi and math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
 @dataclass
@@ -41,6 +58,7 @@ class PreimageResult:
     gmres_history: list
     converged: bool
     omega: object = None
+    cfg: IterationConfig = IterationConfig()
 
     @property
     def iterations(self):
@@ -120,4 +138,5 @@ def iterate(omega, cfg=IterationConfig(), params=None, progress=None):
         gmres_history=gmres_history,
         converged=converged,
         omega=omega,
+        cfg=cfg,
     )

@@ -130,14 +130,13 @@ def cauchy_sums(bnodes, weights, values, targets):
     return num, den, dmin
 
 
-def cauchy_eval(bnodes, bder, bvalues, points, near_fraction=5.0):
+def cauchy_eval(bnodes, bder, bvalues, points):
     """Normalized trapezoidal Cauchy sums at interior points.
 
     f(w) ~= [sum_i f_i eta'_i/(eta_i - w)] / [sum_i eta'_i/(eta_i - w)].
     The denominator equals 2*pi*i/(2*pi/n) for interior points, so the
     normalized form reproduces constants exactly and sharpens accuracy near
-    the boundary.  Points closer than ``near_fraction`` arc spacings to the
-    nearest node are flagged (second return value), not refined.
+    the boundary.  Points near the boundary are not refined.
 
     Raises GeometryError when a point sits on the boundary (within 1e-13).
     """
@@ -148,6 +147,4 @@ def cauchy_eval(bnodes, bder, bvalues, points, near_fraction=5.0):
     num, den, dmin = cauchy_sums(bnodes, bder, bvalues, pts)
     if dmin.min() < 1e-13:
         raise GeometryError("evaluation point lies on the boundary")
-    spacing = 2.0 * np.pi * np.abs(bder).max() / len(bnodes)
-    near = dmin < near_fraction * spacing
-    return num / den, near
+    return num / den

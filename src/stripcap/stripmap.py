@@ -90,7 +90,9 @@ class MapData:
 
     def _boundary_image(self):
         """zeta(t) = -i f(i) + eta f(eta) + psi(eta); the two outer nodes at
-        eta = +-1 get the exact limits +-infinity + i*0."""
+        eta = +-1 get the exact limits +-infinity + i*0.  The node at -1 is
+        e^{i pi} = -1 + 1.2e-16i in floating point, so the poles are found
+        within 1e-13, as in strip_gamma."""
         bp = self.bp
         zeta = np.empty_like(bp.eta)
         base = (
@@ -101,7 +103,7 @@ class MapData:
             row = bp.eta[j]
             if j == 0:
                 vals = np.empty(bp.n, dtype=complex)
-                poles = (row == 1.0) | (row == -1.0)
+                poles = (np.abs(row - 1.0) < 1e-13) | (np.abs(row + 1.0) < 1e-13)
                 vals[~poles] = psi(row[~poles])
                 vals[poles] = np.where(row[poles].real > 0, np.inf, -np.inf)
                 zeta[j] = base[j] + vals
@@ -131,7 +133,7 @@ class MapData:
     def eval(self, points):
         """Forward map Phi at strictly interior points of G."""
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        fvals, _ = cauchy_eval(
+        fvals = cauchy_eval(
             self.bp.flat_eta,
             self.bp.flat_eta_dot,
             self.f_boundary.reshape(-1),
@@ -203,7 +205,7 @@ def inverse_map(md, points):
     wind = winding_number(md.zeta_tilde[0], zt)
     if np.any(wind != 1):
         raise GeometryError("point outside the domain (outer boundary test)")
-    vals, _ = cauchy_eval(
+    vals = cauchy_eval(
         md.zeta_tilde.reshape(-1),
         md.zeta_tilde_dot.reshape(-1),
         md.bp.flat_eta,

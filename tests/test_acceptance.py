@@ -211,7 +211,7 @@ def test_criterion_08_property_suite(four_slit_pre):
     checks["conjugation"] = np.abs(got - conj_exact).max() <= 1e-12
     # Cauchy polynomial reproduction
     pts = np.array([0.3 + 0.1j, -0.4j, 0.5])
-    vals, _ = cauchy_eval(
+    vals = cauchy_eval(
         bp.flat_eta, bp.flat_eta_dot, bp.flat_eta**4 - 2 * bp.flat_eta, pts
     )
     checks["cauchy"] = np.abs(vals - (pts**4 - 2 * pts)).max() <= 1e-12

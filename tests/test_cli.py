@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from stripcap.cli import DEFAULT_NUMERICS, ProblemFile, main
+from stripcap.cli import ProblemFile, main
+from stripcap.preimage import IterationConfig
 
 
 def run_cli(argv):
@@ -44,9 +45,14 @@ class TestProblemFile:
 
     def test_defaults(self):
         problem = ProblemFile.parse({"slits": SMALL["slits"]})
-        cfg = problem.config()
-        for key, val in DEFAULT_NUMERICS.items():
-            assert getattr(cfg, key) == val
+        assert problem.config() == IterationConfig()
+
+    def test_precedence(self):
+        problem = ProblemFile.parse(
+            {"slits": SMALL["slits"], "numerics": {"n": 64, "solver_maxit": 300}}
+        )
+        cfg = problem.config({"n": 32, "r": None})
+        assert cfg == IterationConfig(n=32, solver_maxit=300)
 
     def test_unknown_numerics_rejected(self):
         with pytest.raises(ValueError, match="unknown numerics"):
@@ -165,6 +171,31 @@ class TestCommands:
         assert proc.returncode == 1
         proc2 = run_cli(["capacity", "--input", str(tmp_path / "missing.json")])
         assert proc2.returncode == 1
+
+    @pytest.mark.parametrize("key, value", [("n", 64.0), ("max_iter", 0)])
+    def test_bad_numerics_exit_1(self, tmp_path, key, value):
+        payload = dict(SMALL, numerics={**SMALL["numerics"], key: value})
+        path = write_problem(tmp_path, payload)
+        proc = run_cli(["capacity", "--input", path])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {key} must be")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_flow_non_finite_bound_exit_1(self, tmp_path):
+        # Python's json module writes and reads -Infinity
+        payload = dict(SMALL, flow={"x": [float("-inf"), 3], "nx": 5, "ny": 5})
+        path = write_problem(tmp_path, payload)
+        assert "-Infinity" in open(path).read()
+        proc = run_cli(["flow", "--input", path, "--out", str(tmp_path / "f.csv")])
+        assert proc.returncode == 1
+        assert "grid bound x_min is not finite" in proc.stderr
+
+    def test_seed_only_on_study(self):
+        for command in ("preimage", "capacity", "flow"):
+            proc = run_cli([command, "--help"])
+            assert proc.returncode == 0
+            assert "--seed" not in proc.stdout
+        assert "--seed" in run_cli(["study", "--help"]).stdout
 
     def test_non_finite_endpoint_exit_1(self, tmp_path):
         # Python's json module reads the bare token NaN as a float

@@ -5,6 +5,9 @@ import json
 import numpy as np
 import pytest
 
+import stripcap.flow as flowmod
+from stripcap.geometry import SlitSpec, StripSlitDomain
+from stripcap.preimage import IterationConfig, iterate
 from stripcap.flow import (
     FlowField,
     GridSpec,
@@ -26,6 +29,24 @@ class TestLevels:
     def test_levels_inside_strip(self, channel_pre):
         levels = slit_stream_levels(horizontal_slit_map(channel_pre))
         assert np.all(np.abs(levels) < np.pi / 2)
+
+    def test_run_solver_settings_reach_flow_map(self, monkeypatch):
+        # the second map is solved under the run's solver_tol/solver_maxit,
+        # not under the module defaults
+        dom = StripSlitDomain([SlitSpec(-0.5j, 0.5j)])
+        cfg = IterationConfig(n=64, eps=1e-10, solver_tol=1e-12, solver_maxit=50)
+        pre = iterate(dom, cfg)
+        seen = []
+        original = flowmod.build_map
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flowmod, "build_map", spy)
+        horizontal_slit_map(pre)
+        assert len(seen) == 1
+        assert seen[0]["tol"] == 1e-12 and seen[0]["maxit"] == 50
 
 
 class TestComplexPotential:
@@ -121,3 +142,11 @@ class TestStreamGrid:
             GridSpec(-1.0, 1.0, -1.0, 1.0, 1, 5)
         with pytest.raises(ValueError):
             GridSpec(1.0, -1.0, -1.0, 1.0, 5, 5)
+
+    @pytest.mark.parametrize("bound", ["x_min", "x_max", "y_min", "y_max"])
+    @pytest.mark.parametrize("value", [float("-inf"), float("inf"), float("nan")])
+    def test_non_finite_bound_rejected(self, bound, value):
+        limits = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0)
+        limits[bound] = value
+        with pytest.raises(ValueError, match=f"grid bound {bound} is not finite"):
+            GridSpec(**limits, nx=5, ny=5)

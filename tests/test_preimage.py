@@ -12,6 +12,34 @@ def single_slit_domain():
     return StripSlitDomain([SlitSpec(-0.5j, 0.5j)])
 
 
+class TestIterationConfig:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 64.0),
+            ("n", 48),
+            ("n", 4),
+            ("n", True),
+            ("max_iter", 0),
+            ("max_iter", 2.5),
+            ("solver_maxit", 0),
+            ("solver_tol", 1e-3),
+            ("solver_tol", 0.0),
+            ("eps", float("nan")),
+            ("eps", float("inf")),
+            ("r", 0.0),
+            ("r", "0.2"),
+        ],
+    )
+    def test_invalid_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            IterationConfig(**{field: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = IterationConfig(n=np.int64(64), r=np.float64(0.1), solver_tol=1e-6)
+        assert cfg.n == 64 and cfg.solver_tol == 1e-6
+
+
 class TestInitialize:
     def test_ellipses_on_slits(self):
         omega = single_slit_domain()
@@ -83,4 +111,5 @@ class TestIterate:
     def test_result_carries_domain(self, one_slit_pre):
         assert isinstance(one_slit_pre, PreimageResult)
         assert one_slit_pre.omega is not None
+        assert one_slit_pre.cfg == IterationConfig(n=256, r=0.2)
         assert one_slit_pre.map.m == 1

@@ -22,6 +22,14 @@ class TestBoundaryImage:
         assert finite.sum() >= zeta0.size - 2
         assert np.abs(np.abs(zeta0[finite].imag) - HALF_PI).max() < 1e-10
 
+    def test_outer_poles(self, four_slit_pre):
+        # eta_0 = +-1 sit at nodes 0 and n/2; the node at -1 is e^{i pi},
+        # which is not exactly -1 in floating point
+        zeta0 = four_slit_pre.map.zeta[0]
+        n = zeta0.size
+        assert np.flatnonzero(~np.isfinite(zeta0)).tolist() == [0, n // 2]
+        assert zeta0[0].real == np.inf and zeta0[n // 2].real == -np.inf
+
     def test_slit_flatness(self, four_slit_pre):
         md = four_slit_pre.map
         for j, zj in enumerate(md.zeta[1:]):
