@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, GeometryError, StripcapError
-from .geometry import HALF_PI, SlitSpec, StripSlitDomain
+from .geometry import HALF_PI, SlitSpec, StripSlitDomain, segment_distance
 from .kernels import KernelSet
 from .preimage import IterationConfig, iterate
 from .solver import DEFAULT_MAXIT, DEFAULT_TOL, solve_bie
@@ -94,8 +94,6 @@ class CapacityResult:
     a: np.ndarray
     c: float
     preimage: object
-    n: int
-    r: float
 
 
 def charges_from_boundary(bp, alphas, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
@@ -144,7 +142,7 @@ def capacity(spec, cfg=IterationConfig()):
         bp, alphas, tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit
     )
     cap = 2.0 * np.pi * float(np.dot(spec.delta, a))
-    return CapacityResult(cap=cap, a=a, c=c, preimage=pre, n=cfg.n, r=cfg.r)
+    return CapacityResult(cap=cap, a=a, c=c, preimage=pre)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +236,6 @@ def random_slits_family(count, m, seed, base_cfg, box_height=0.0):
             cx = rng.uniform(-4.0, 4.0)
             cy = rng.uniform(-box_height, box_height) if box_height > 0 else 0.0
             cand = SlitSpec(complex(cx - half, cy), complex(cx + half, cy))
-            from .geometry import segment_distance
-
             if all(
                 segment_distance(cand.a, cand.b, s.a, s.b) >= 1e-3 for s in slits
             ):

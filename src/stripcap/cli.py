@@ -27,6 +27,25 @@ from .geometry import HALF_PI, StripSlitDomain
 from .preimage import IterationConfig, iterate
 
 
+# the shape of every known entry of a problem file, sections first; the
+# checks are on the types json.load gives
+OBJECT = (lambda x: isinstance(x, dict), "an object")
+INTEGER = (lambda x: type(x) is int, "an integer")
+NUMBER = (lambda x: type(x) in (int, float), "a number")
+NUMBERS = (lambda x: isinstance(x, list) and all(map(NUMBER[0], x)), "a list of numbers")
+PAIR = (lambda x: NUMBERS[0](x) and len(x) == 2, "a pair of numbers")
+SHAPES = {
+    **dict.fromkeys(["numerics", "study", "flow"], OBJECT),
+    "delta": NUMBERS,
+    "study.family": (lambda x: isinstance(x, str), "a string"),
+    "study.values": NUMBERS,
+    **dict.fromkeys(["study.count", "study.m", "study.seed"], INTEGER),
+    **dict.fromkeys(["flow.nx", "flow.ny"], INTEGER),
+    **dict.fromkeys(["study.box_height", "flow.exclusion"], NUMBER),
+    **dict.fromkeys(["flow.x", "flow.y"], PAIR),
+}
+
+
 @dataclass
 class ProblemFile:
     """Parsed problem description; round-trips through JSON unchanged."""
@@ -39,9 +58,16 @@ class ProblemFile:
 
     @classmethod
     def parse(cls, data):
-        if "slits" not in data or not data["slits"]:
+        """Check the shape of every section, then build the domain."""
+        slits = data.get("slits") if isinstance(data, dict) else None
+        if not isinstance(slits, list) or not slits:
             raise ValueError("problem file needs a non-empty 'slits' list")
         domain = StripSlitDomain.from_dict(data)
+        for path, (valid, shape) in SHAPES.items():
+            *outer, key = path.split(".")
+            where = data.get(outer[0], {}) if outer else data
+            if key in where and not valid(where[key]):
+                raise ValueError(f"{path} must be {shape}, got {where[key]!r}")
         numerics = dict(data.get("numerics", {}))
         unknown = set(numerics) - {f.name for f in fields(IterationConfig)}
         if unknown:
@@ -158,19 +184,11 @@ def cmd_capacity(args, problem, cfg):
 
 def cmd_flow(args, problem, cfg):
     spec = problem.flow or {}
-    try:
-        grid = GridSpec(
-            x_min=spec.get("x", [-6.0, 6.0])[0],
-            x_max=spec.get("x", [-6.0, 6.0])[1],
-            y_min=spec.get("y", [-1.5, 1.5])[0],
-            y_max=spec.get("y", [-1.5, 1.5])[1],
-            nx=int(spec.get("nx", 200)),
-            ny=int(spec.get("ny", 100)),
-        )
-    except (TypeError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed flow grid spec: {exc}") from exc
+    x_min, x_max = spec.get("x", [-6.0, 6.0])
+    y_min, y_max = spec.get("y", [-1.5, 1.5])
+    grid = GridSpec(x_min, x_max, y_min, y_max, spec.get("nx", 200), spec.get("ny", 100))
     # stream_grid owns the default exclusion distance
-    options = {"exclusion": float(spec["exclusion"])} if "exclusion" in spec else {}
+    options = {"exclusion": spec["exclusion"]} if "exclusion" in spec else {}
     pre = iterate(problem.domain, cfg)
     if not pre.converged:
         print("preimage iteration did not converge", file=sys.stderr)
@@ -207,11 +225,11 @@ def cmd_study(args, problem, cfg):
         samples = STUDY_FAMILIES[family](spec.get("values", []), cfg)
     elif family == "random_horizontal":
         samples = random_slits_family(
-            count=int(spec.get("count", 10)),
-            m=int(spec.get("m", 10)),
-            seed=args.seed if args.seed is not None else int(spec.get("seed", 0)),
+            count=spec.get("count", 10),
+            m=spec.get("m", 10),
+            seed=args.seed if args.seed is not None else spec.get("seed", 0),
             base_cfg=cfg,
-            box_height=float(spec.get("box_height", 0.0)),
+            box_height=spec.get("box_height", 0.0),
         )
     else:
         raise ValueError(f"unknown study family {family!r}")

@@ -189,30 +189,28 @@ def point_segment_distance(z, a, b):
     return np.abs(z - (a + t * d))
 
 
+def segments_cross(p0, p1, q0, q1):
+    """Whether [p0,p1] and [q0,q1] cross, by orientation signs; broadcasts."""
+
+    def orient(o, u, v):
+        # Im((u - o) conj(v - o)) > 0 with one product at the broadcast shape
+        d = u - o
+        return (d * np.conj(v)).imag > (d * np.conj(o)).imag
+
+    return (orient(p0, p1, q0) != orient(p0, p1, q1)) & (
+        orient(q0, q1, p0) != orient(q0, q1, p1)
+    )
+
+
 def segment_distance(p0, p1, q0, q1):
     """Exact minimum distance between segments [p0,p1] and [q0,q1] in C."""
-
-    def pt_seg(z, a, b):
-        d = b - a
-        t = ((z - a) * np.conj(d)).real / abs(d) ** 2
-        t = min(1.0, max(0.0, t))
-        return abs(z - (a + t * d))
-
-    # crossing test via orientation signs
-    def cross(o, u, v):
-        return ((u - o) * np.conj(v - o)).imag
-
-    d1 = cross(p0, p1, q0)
-    d2 = cross(p0, p1, q1)
-    d3 = cross(q0, q1, p0)
-    d4 = cross(q0, q1, p1)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+    if segments_cross(p0, p1, q0, q1):
         return 0.0
-    return min(
-        pt_seg(q0, p0, p1),
-        pt_seg(q1, p0, p1),
-        pt_seg(p0, q0, q1),
-        pt_seg(p1, q0, q1),
+    return float(
+        min(
+            point_segment_distance([q0, q1], p0, p1).min(),
+            point_segment_distance([p0, p1], q0, q1).min(),
+        )
     )
 
 
@@ -249,10 +247,16 @@ class StripSlitDomain:
     @classmethod
     def from_dict(cls, data):
         slits = []
-        for entry in data["slits"]:
-            a = complex(entry["a"][0], entry["a"][1])
-            b = complex(entry["b"][0], entry["b"][1])
-            slits.append(SlitSpec(a, b))
+        for i, entry in enumerate(data["slits"]):
+            try:
+                (ax, ay), (bx, by) = entry["a"], entry["b"]
+                ends = complex(ax, ay), complex(bx, by)
+            except (KeyError, TypeError, ValueError):
+                raise GeometryError(
+                    f"slits[{i}] must be {{'a': [x, y], 'b': [x, y]}} with "
+                    f"numbers x, y, got {entry!r}"
+                ) from None
+            slits.append(SlitSpec(*ends))
         return cls(slits)
 
     def to_dict(self):
@@ -355,37 +359,13 @@ def winding_number(curve, w):
     return int(res[0]) if scalar else res
 
 
-def polyline_min_distance(za, zb):
-    """Approximate min distance between two closed sampled curves.
-
-    Point-to-segment distances in both directions; 0 if the polylines cross.
-    """
-
-    def pts_to_segs(pts, poly):
-        a = poly
-        b = np.roll(poly, -1)
-        d = b - a
-        L2 = np.abs(d) ** 2
-        t = ((pts[:, None] - a[None, :]) * np.conj(d)[None, :]).real / L2[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        proj = a[None, :] + t * d[None, :]
-        return np.abs(pts[:, None] - proj).min()
-
-    d = min(pts_to_segs(za, zb), pts_to_segs(zb, za))
-    # crude crossing detection: winding of one curve about the other's points
-    if d > 0:
-        w = winding_number(za, zb[:: max(1, len(zb) // 32)])
-        if np.any(w != w[0]):
-            return 0.0
-    return d
-
-
 def build_preimage_boundary(params, n):
     """Boundary of the preimage domain from a list of ellipse parameters.
 
     Component 0 is the unit circle; components 1..m are psi_inv images of
     the ellipses, with derivatives by the chain rule.  Raises OverlapError
-    if the resulting curves intersect or escape the open unit disk.
+    if two of the resulting curves cross or one lies inside the other, and
+    GeometryError if a curve leaves the strip or the open unit disk.
     """
     _check_pow2(n)
     t = 2.0 * np.pi * np.arange(n) / n
@@ -402,11 +382,15 @@ def build_preimage_boundary(params, n):
         eta_dot[j] = psi_inv_deriv(hat) * hat_dot
         if np.abs(eta[j]).max() >= 1.0:
             raise GeometryError(f"curve {j} touches the unit circle")
-    step = max(1, n // 256)
+    # the sampled polylines overlap if two of their edges cross, or else if
+    # one curve winds about a node of the other
+    poly = eta[:, :: max(1, n // 256)]
+    ends = np.roll(poly, -1, axis=1)
+    advice = "choose a smaller aspect ratio r"
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            if polyline_min_distance(eta[i][::step], eta[j][::step]) <= 0.0:
-                raise OverlapError(
-                    f"preimage curves {i} and {j} intersect; decrease r"
-                )
+            if segments_cross(poly[i, :, None], ends[i, :, None], poly[j], ends[j]).any():
+                raise OverlapError(f"preimage curves {i} and {j} intersect; {advice}")
+            if winding_number(poly[i], poly[j, 0]) or winding_number(poly[j], poly[i, 0]):
+                raise OverlapError(f"preimage curves {i} and {j} are nested; {advice}")
     return BoundaryParametrization(eta, eta_dot)

@@ -14,7 +14,6 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import OverlapError
 from .geometry import EllipseParams, build_preimage_boundary
 from .solver import DEFAULT_MAXIT, DEFAULT_TOL
 from .stripmap import build_map, extract_slit_images
@@ -72,10 +71,7 @@ def initialize(omega, cfg):
         EllipseParams(z=s.c, a=shrink * s.ell, theta=s.theta, r=cfg.r)
         for s in omega.slits
     ]
-    try:
-        build_preimage_boundary(params, cfg.n)
-    except OverlapError as exc:
-        raise OverlapError(f"{exc}; choose a smaller aspect ratio r") from exc
+    build_preimage_boundary(params, cfg.n)  # raises OverlapError if r is too large
     return params
 
 

@@ -1,6 +1,5 @@
 """Solving (I - N) rho = -M gamma and Cauchy evaluation of analytic data."""
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,8 +9,6 @@ from .errors import ConvergenceError, GeometryError
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAXIT = 100
-
-_GMRES_TOL_KW = "rtol" if "rtol" in inspect.signature(gmres).parameters else "tol"
 
 
 @dataclass
@@ -58,7 +55,7 @@ def solve_rho(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     op = LinearOperator((ntot, ntot), matvec=ks.apply_I_minus_N, dtype=float)
     history = []
     kwargs = {
-        _GMRES_TOL_KW: tol,
+        "rtol": tol,
         "atol": 0.0,
         "restart": min(maxit, ntot),
         "maxiter": 1,

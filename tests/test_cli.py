@@ -172,10 +172,30 @@ class TestCommands:
         proc2 = run_cli(["capacity", "--input", str(tmp_path / "missing.json")])
         assert proc2.returncode == 1
 
-    @pytest.mark.parametrize("key, value", [("n", 64.0), ("max_iter", 0)])
-    def test_bad_numerics_exit_1(self, tmp_path, key, value):
-        payload = dict(SMALL, numerics={**SMALL["numerics"], key: value})
-        path = write_problem(tmp_path, payload)
+    @pytest.mark.parametrize(
+        "key, section",
+        [
+            pytest.param("n", {"numerics": {"n": 64.0}}, id="n-64.0"),
+            pytest.param("max_iter", {"numerics": {"max_iter": 0}}, id="max_iter-0"),
+            pytest.param("numerics", {"numerics": [1, 2]}, id="numerics-list"),
+            pytest.param(
+                "study.values",
+                {"study": {"family": "two_vertical", "values": 5}},
+                id="study-values-int",
+            ),
+            pytest.param("study.seed", {"study": {"seed": [1]}}, id="study-seed-list"),
+            pytest.param("flow", {"flow": [1, 2]}, id="flow-list"),
+            pytest.param("flow.nx", {"flow": {"nx": "ten"}}, id="flow-nx-string"),
+            pytest.param("delta", {"delta": 5}, id="delta-int"),
+            pytest.param(
+                "slits[0]", {"slits": [{"a": 1, "b": [1, 0]}]}, id="slit-a-int"
+            ),
+            pytest.param("slits[0]", {"slits": [{"a": [0, 1]}]}, id="slit-b-missing"),
+        ],
+    )
+    def test_bad_numerics_exit_1(self, tmp_path, key, section):
+        # a wrongly typed or shaped entry anywhere in the problem file
+        path = write_problem(tmp_path, {**SMALL, **section})
         proc = run_cli(["capacity", "--input", path])
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {key} must be")

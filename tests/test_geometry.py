@@ -5,9 +5,9 @@ import stripcap as sc
 from stripcap.geometry import (
     HALF_PI,
     point_segment_distance,
-    polyline_min_distance,
     psi_inv_deriv,
     segment_distance,
+    segments_cross,
     trig_interp,
     trig_interp_maximizer,
     winding_number,
@@ -138,12 +138,25 @@ class TestDistances:
     def test_segment_distance_endpoint_gap(self):
         assert segment_distance(0, 1, 2, 3) == pytest.approx(1.0)
 
-    def test_polyline_min_distance(self):
-        t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        a = 0.2 * np.exp(1j * t)
-        b = 1.0 + 0.2 * np.exp(1j * t)
-        d = polyline_min_distance(a, b)
-        assert d == pytest.approx(0.6, abs=1e-2)
+    def test_segments_cross_broadcasts(self):
+        # one segment against three: crossing, parallel, beyond its end
+        q0 = np.array([-1j, 1j, 2 - 1j])
+        q1 = np.array([1j, 1 + 1j, 2 + 1j])
+        assert list(segments_cross(-1, 1, q0, q1)) == [True, False, False]
+        # every pair of 40 random segments against the orientation signs
+        # formed directly as Im((u - o) conj(v - o))
+        rng = np.random.default_rng(2)
+        p0, p1, q0, q1 = rng.normal(size=(4, 40)) + 1j * rng.normal(size=(4, 40))
+        p0, p1 = p0[:, None], p1[:, None]
+
+        def left(o, u, v):
+            return ((u - o) * np.conj(v - o)).imag > 0
+
+        ref = (left(p0, p1, q0) != left(p0, p1, q1)) & (
+            left(q0, q1, p0) != left(q0, q1, p1)
+        )
+        assert 0 < ref.sum() < ref.size
+        assert np.array_equal(segments_cross(p0, p1, q0, q1), ref)
 
 
 class TestDomain:
@@ -211,12 +224,18 @@ class TestPreimageBoundary:
         assert np.array_equal(bp.split(flat).reshape(-1), flat)
 
     def test_overlapping_ellipses_rejected(self):
-        params = [
+        crossing = [
             sc.EllipseParams(z=-0.05, a=0.8, theta=0.0, r=0.5),
             sc.EllipseParams(z=0.05, a=0.8, theta=0.0, r=0.5),
         ]
-        with pytest.raises(sc.OverlapError):
-            sc.build_preimage_boundary(params, 128)
+        # the second hole lies inside the first: no edges cross
+        nested = [
+            sc.EllipseParams(z=0, a=1.0, theta=0, r=1.0),
+            sc.EllipseParams(z=0.15j, a=0.05, theta=np.pi / 2, r=1.0),
+        ]
+        for params, what in ((crossing, "intersect"), (nested, "nested")):
+            with pytest.raises(sc.OverlapError, match=what):
+                sc.build_preimage_boundary(params, 128)
 
     def test_ellipse_leaving_strip_rejected(self):
         params = [sc.EllipseParams(z=1.5j, a=0.5, theta=np.pi / 2, r=0.5)]

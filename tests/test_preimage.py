@@ -59,6 +59,10 @@ class TestInitialize:
         )
         with pytest.raises(OverlapError, match="smaller aspect ratio"):
             initialize(omega, IterationConfig(n=64, r=0.5))
+        # a T: the short slit's ellipse lies inside the long one's
+        omega = StripSlitDomain([SlitSpec(-1.0, 1.0), SlitSpec(0.1j, 0.2j)])
+        with pytest.raises(OverlapError, match="smaller aspect ratio"):
+            initialize(omega, IterationConfig(n=64, r=0.5))
 
 
 class TestIterate:
