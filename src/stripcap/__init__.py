@@ -25,7 +25,7 @@ from .geometry import (
 )
 from .kernels import KernelSet, build_A
 from .preimage import IterationConfig, PreimageResult, initialize, iterate
-from .solver import BieSolution, cauchy_eval, compute_h, solve_bie, solve_rho
+from .solver import BieSolution, cauchy_eval, solve_bie
 from .stripmap import (
     MapData,
     SlitImage,
@@ -68,7 +68,6 @@ __all__ = [
     "capacity_study",
     "cauchy_eval",
     "complex_potential",
-    "compute_h",
     "elliptic_K",
     "exact_cap_horizontal",
     "exact_cap_vertical",
@@ -82,7 +81,6 @@ __all__ = [
     "psi",
     "psi_inv",
     "solve_bie",
-    "solve_rho",
     "stream_grid",
     "strip_gamma",
     "trig_derivative",

@@ -82,8 +82,7 @@ def horizontal_slit_map(pre):
     md = pre.map
     theta = np.zeros(md.bp.m + 1)
     return build_map(
-        md.bp, theta, alpha=md.alpha,
-        tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit,
+        md.bp, theta, tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit
     )
 
 
@@ -116,8 +115,7 @@ def stream_grid(pre, upsilon, grid, exclusion=0.02):
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
     mask = np.abs(Z.imag) < HALF_PI - 1e-12
-    slits = pre.omega.slits if pre.omega is not None else []
-    for s in slits:
+    for s in pre.omega.slits:
         mask &= point_segment_distance(Z, s.a, s.b) > exclusion
     psi_values = np.full(Z.shape, np.nan)
     idx = np.where(mask.reshape(-1))[0]

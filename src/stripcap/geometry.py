@@ -97,12 +97,12 @@ def trig_interp(samples, tq):
     return vals
 
 
-def trig_interp_maximizer(samples, sign=1.0, newton_steps=30):
+def trig_interp_maximizer(samples, sign=1.0):
     """Locate an extremum of the trig interpolant of real ``samples``.
 
-    Starts from the grid arg-extremum and polishes with Newton on the
-    spectral derivative; returns (t_star, value).  ``sign=+1`` finds the
-    maximum, ``sign=-1`` the minimum.  Grid-level quadratic refinement alone
+    Starts from the grid arg-extremum and polishes with at most 30 Newton
+    steps on the spectral derivative; returns (t_star, value).  ``sign=+1``
+    finds the maximum, ``sign=-1`` the minimum.  Grid-level quadratic refinement alone
     leaves an O(h^4) bias in the extremum value, far above the 1e-14
     self-consistency the preimage iteration targets, hence the Newton polish.
     """
@@ -118,7 +118,7 @@ def trig_interp_maximizer(samples, sign=1.0, newton_steps=30):
     t = 2.0 * np.pi * i0 / n
     h = 2.0 * np.pi / n
     scale = max(1.0, np.abs(u).max())
-    for _ in range(newton_steps):
+    for _ in range(30):
         ph = np.exp(1j * k * t)
         du = (c1 @ ph).real
         d2u = (c2 @ ph).real
@@ -347,15 +347,22 @@ class BoundaryParametrization:
 
 
 def winding_number(curve, w):
-    """Discrete winding number of a sampled closed curve about point(s) w."""
+    """Discrete winding number of a sampled closed curve about point(s) w.
+
+    The points are taken in row chunks, as in ``solver.cauchy_sums``, so the
+    (points x nodes) temporaries stay bounded.
+    """
     curve = np.asarray(curve)
     w_in = np.asarray(w, dtype=complex)
     scalar = w_in.ndim == 0
     wv = np.atleast_1d(w_in)
-    z = curve[None, :] - wv[:, None]
-    rot = np.roll(z, -1, axis=1) / z
-    total = np.angle(rot).sum(axis=1) / (2.0 * np.pi)
-    res = np.rint(total).astype(int)
+    res = np.empty(wv.shape[0], dtype=int)
+    step = max(1, (1 << 21) // max(1, curve.shape[0]))
+    for p0 in range(0, wv.shape[0], step):
+        z = curve[None, :] - wv[p0 : p0 + step, None]
+        rot = np.roll(z, -1, axis=1) / z
+        total = np.angle(rot).sum(axis=1) / (2.0 * np.pi)
+        res[p0 : p0 + step] = np.rint(total)
     return int(res[0]) if scalar else res
 
 

@@ -109,10 +109,6 @@ class KernelSet:
         )
         self._w = 2.0 * np.pi / bp.n
 
-    def apply_N(self, x):
-        """Trapezoidal discretization of the compact operator."""
-        return self._w * (self.N @ np.asarray(x, dtype=float))
-
     def apply_M(self, x):
         """Discretized singular operator: trapezoidal M1 plus cot convolution."""
         x = np.asarray(x, dtype=float)

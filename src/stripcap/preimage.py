@@ -56,8 +56,8 @@ class PreimageResult:
     error_history: list
     gmres_history: list
     converged: bool
-    omega: object = None
-    cfg: IterationConfig = IterationConfig()
+    omega: object
+    cfg: IterationConfig
 
     @property
     def iterations(self):

@@ -30,16 +30,18 @@ class BieSolution:
     rho: np.ndarray
     h: np.ndarray
     h_dev: np.ndarray
-    gamma: np.ndarray
     stats: SolverStats
 
 
-def solve_rho(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """Solve the integral equation by restart-free GMRES, matrix-free.
+def solve_bie(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+    """Solve (I - N) rho = -M gamma by restart-free GMRES, matrix-free, and
+    read off the piecewise constants h of the field [M rho - (I-N) gamma]/2.
 
     Relative residual tolerance.  One refinement pass always follows; the
     solve fails, with ConvergenceError carrying the residual history, only
-    when the true residual misses ``10 * tol * max|rhs|``.
+    when the true residual misses ``10 * tol * max|rhs|``.  The theory makes
+    the field exactly constant on each component, so ``h_dev`` is pure
+    discretization/solver noise.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(gamma)):
@@ -49,57 +51,43 @@ def solve_rho(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     rhs = -ks.apply_M(gamma)
     rhs_norm = np.abs(rhs).max()
     if rhs_norm == 0.0:
+        rho = np.zeros_like(gamma)
         stats = SolverStats(iterations=0, residual=0.0, history=[])
-        return np.zeros_like(gamma), stats
-    ntot = gamma.size
-    op = LinearOperator((ntot, ntot), matvec=ks.apply_I_minus_N, dtype=float)
-    history = []
-    kwargs = {
-        "rtol": tol,
-        "atol": 0.0,
-        "restart": min(maxit, ntot),
-        "maxiter": 1,
-        "callback": history.append,
-        "callback_type": "pr_norm",
-    }
-    rho, _ = gmres(op, rhs, **kwargs)
-    # one pass of iterative refinement: the Krylov basis loses about a digit
-    # to rounding at rtol = 1e-14, and the correction restores it.  scipy's
-    # own convergence flag is not consulted; the true residual decides.
-    defect = rhs - ks.apply_I_minus_N(rho)
-    corr, _ = gmres(op, defect, **{**kwargs, "callback": None})
-    rho = rho + corr
-    residual = np.abs(ks.apply_I_minus_N(rho) - rhs).max()
-    if residual > 10.0 * tol * rhs_norm:
-        raise ConvergenceError(
-            f"GMRES stalled: residual {residual:.3e} after "
-            f"{len(history)} iterations (target {10 * tol * rhs_norm:.3e})",
-            history=history,
+    else:
+        ntot = gamma.size
+        op = LinearOperator((ntot, ntot), matvec=ks.apply_I_minus_N, dtype=float)
+        history = []
+        kwargs = {
+            "rtol": tol,
+            "atol": 0.0,
+            "restart": min(maxit, ntot),
+            "maxiter": 1,
+            "callback": history.append,
+            "callback_type": "pr_norm",
+        }
+        rho, _ = gmres(op, rhs, **kwargs)
+        # one pass of iterative refinement: the Krylov basis loses about a
+        # digit to rounding at rtol = 1e-14, and the correction restores it.
+        # scipy's own convergence flag is not consulted; the true residual
+        # decides.
+        defect = rhs - ks.apply_I_minus_N(rho)
+        corr, _ = gmres(op, defect, **{**kwargs, "callback": None})
+        rho = rho + corr
+        residual = np.abs(ks.apply_I_minus_N(rho) - rhs).max()
+        if residual > 10.0 * tol * rhs_norm:
+            raise ConvergenceError(
+                f"GMRES stalled: residual {residual:.3e} after "
+                f"{len(history)} iterations (target {10 * tol * rhs_norm:.3e})",
+                history=history,
+            )
+        stats = SolverStats(
+            iterations=len(history), residual=float(residual), history=history
         )
-    stats = SolverStats(
-        iterations=len(history), residual=float(residual), history=history
-    )
-    return rho, stats
-
-
-def compute_h(ks, rho, gamma):
-    """Piecewise constants of the field [M rho - (I-N) gamma]/2.
-
-    Returns (h, h_dev): per-component mean and standard deviation.  The
-    theory makes the field exactly constant on each component, so h_dev is
-    pure discretization/solver noise.
-    """
     field = 0.5 * (ks.apply_M(rho) - ks.apply_I_minus_N(gamma))
     rows = ks.bp.split(field)
-    return rows.mean(axis=1), rows.std(axis=1)
-
-
-def solve_bie(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
-    """solve_rho + compute_h bundled into a BieSolution."""
-    gamma = np.asarray(gamma, dtype=float)
-    rho, stats = solve_rho(ks, gamma, tol=tol, maxit=maxit)
-    h, h_dev = compute_h(ks, rho, gamma)
-    return BieSolution(rho=rho, h=h, h_dev=h_dev, gamma=gamma, stats=stats)
+    return BieSolution(
+        rho=rho, h=rows.mean(axis=1), h_dev=rows.std(axis=1), stats=stats
+    )
 
 
 def cauchy_sums(bnodes, weights, values, targets):

@@ -147,11 +147,10 @@ class MapData:
         return out if np.asarray(points).ndim else complex(out[0])
 
 
-def build_map(bp, theta, alpha=None, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def build_map(bp, theta, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     """Solve the boundary integral equation and assemble the map data."""
     theta = np.asarray(theta, dtype=float)
-    if alpha is None:
-        alpha = default_alpha(bp)
+    alpha = default_alpha(bp)
     ks = KernelSet(bp, theta, alpha)
     gamma = strip_gamma(bp, theta)
     sol = solve_bie(ks, gamma, tol=tol, maxit=maxit)

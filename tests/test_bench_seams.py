@@ -11,7 +11,12 @@ import inspect
 import runpy
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from stripcap.geometry import BoundaryParametrization
+from stripcap.kernels import KernelSet
+from stripcap.solver import solve_bie
 
 # run_path reads the file without importing pipebench or writing bytecode
 LAYERS = runpy.run_path(
@@ -46,3 +51,15 @@ def test_counted_arguments_exist(span, names):
     assert span in LAYERS["COUNTERS"]
     params = inspect.signature(resolve(span)).parameters
     assert set(names) <= set(params)
+
+
+def test_solve_counters_read_result():
+    # the solver.solve counters read ``stats.iterations`` and ``h_dev`` off
+    # the solve's result
+    t = 2 * np.pi * np.arange(32) / 32
+    bp = BoundaryParametrization(np.exp(1j * t)[None, :], 1j * np.exp(1j * t)[None, :])
+    sol = solve_bie(KernelSet(bp, np.array([np.pi / 2]), 0.0), np.cos(3 * t))
+    assert sol.stats.iterations >= 1
+    assert sol.h_dev.shape == (1,)
+    for _, _, _, getter in LAYERS["COUNTERS"]["solver.solve"]:
+        assert np.isfinite(getter({}, sol))

@@ -206,6 +206,14 @@ class TestWinding:
         curve = np.exp(1j * t)
         w = winding_number(curve, np.array([0.0, 0.5j, 2.0]))
         assert list(w) == [1, 1, 0]
+        # more points than one row chunk holds (2^21 // 64 = 32768); the
+        # 64-gon's inradius cos(pi/64) exceeds 0.99
+        rng = np.random.default_rng(5)
+        radius = np.concatenate([rng.uniform(0, 0.99, 20000), rng.uniform(1.01, 2, 20000)])
+        pts = radius * np.exp(2j * np.pi * rng.uniform(size=radius.size))
+        w = winding_number(curve[::4], pts)
+        assert w.shape == (40000,)
+        assert np.array_equal(w, (radius < 1).astype(int))
 
 
 class TestPreimageBoundary:

@@ -159,18 +159,10 @@ class TestConjugation:
 
 
 class TestOperators:
-    def test_I_minus_N_consistency(self):
-        bp = two_component_bp(64)
-        ks = KernelSet(bp, theta=[np.pi / 2, np.pi / 2], alpha=0.0)
-        x = np.sin(bp.flat_t) + 0.2
-        assert np.abs(
-            ks.apply_I_minus_N(x) - (x - ks.apply_N(x))
-        ).max() < 1e-14
-
     def test_N_oracle_against_plain_quadrature(self):
-        """apply_N is precisely the trapezoidal rule with the stored matrix;
-        verify against the direct formula off the diagonal plus the stored
-        diagonal (rules out indexing/transposition mistakes)."""
+        """x - apply_I_minus_N(x) is precisely the trapezoidal rule with the
+        stored N; verify against the direct formula off the diagonal plus the
+        stored diagonal (rules out indexing/transposition mistakes)."""
         bp = two_component_bp(64)
         ks = KernelSet(bp, theta=[np.pi / 2, 0.1], alpha=0.0)
         x = np.cos(2 * bp.flat_t)
@@ -186,7 +178,7 @@ class TestOperators:
             Nref[i] = row
         assert np.abs(ks.N - Nref).max() < 1e-13
         ref = (2 * np.pi / bp.n) * (Nref @ x)
-        assert np.abs(ks.apply_N(x) - ref).max() < 1e-12
+        assert np.abs(x - ks.apply_I_minus_N(x) - ref).max() < 1e-12
 
 
 class TestAssembly:

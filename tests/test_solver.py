@@ -6,7 +6,7 @@ import pytest
 from stripcap.errors import ConvergenceError, GeometryError
 from stripcap.geometry import BoundaryParametrization, parametrize_ellipse, EllipseParams
 from stripcap.kernels import KernelSet
-from stripcap.solver import cauchy_eval, compute_h, solve_bie, solve_rho
+from stripcap.solver import cauchy_eval, solve_bie
 
 
 def circle_bp(n=128):
@@ -32,28 +32,27 @@ class TestSolveRho:
         ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
         g1 = np.cos(2 * t) + 0.3 * np.sin(5 * t)
         g2 = np.sin(t) - np.cos(4 * t)
-        r1, _ = solve_rho(ks, g1)
-        r2, _ = solve_rho(ks, g2)
-        r12, _ = solve_rho(ks, 2.0 * g1 - 0.5 * g2)
+        r1 = solve_bie(ks, g1).rho
+        r2 = solve_bie(ks, g2).rho
+        r12 = solve_bie(ks, 2.0 * g1 - 0.5 * g2).rho
         assert np.abs(r12 - (2.0 * r1 - 0.5 * r2)).max() < 1e-11
 
     def test_zero_rhs_short_circuit(self):
         bp, t = circle_bp(64)
         ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
-        rho, stats = solve_rho(ks, np.zeros_like(t))
-        assert np.abs(rho).max() == 0.0
-        assert stats.iterations == 0
+        sol = solve_bie(ks, np.zeros_like(t))
+        assert np.abs(sol.rho).max() == 0.0
+        assert sol.stats.iterations == 0
         # constants lie in the kernel of M up to roundoff
-        rho_c, _ = solve_rho(ks, np.ones_like(t))
-        assert np.abs(rho_c).max() < 1e-12
+        assert np.abs(solve_bie(ks, np.ones_like(t)).rho).max() < 1e-12
 
     def test_invalid_inputs(self):
         bp, t = circle_bp(64)
         ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
         with pytest.raises(ValueError):
-            solve_rho(ks, np.full_like(t, np.nan))
+            solve_bie(ks, np.full_like(t, np.nan))
         with pytest.raises(ValueError):
-            solve_rho(ks, np.cos(t), tol=1e-3)
+            solve_bie(ks, np.cos(t), tol=1e-3)
 
     def test_maxit_exhaustion_raises(self):
         # on the circle alone GMRES finishes in two steps (I - N is identity
@@ -68,7 +67,7 @@ class TestSolveRho:
         ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]), 0.0)
         gamma = np.log(np.abs(bp.flat_eta - 0.3))
         with pytest.raises(ConvergenceError) as exc:
-            solve_rho(ks, gamma, maxit=2)
+            solve_bie(ks, gamma, maxit=2)
         assert len(exc.value.history) >= 1
 
     def test_scipy_info_flag_ignored_when_residual_met(self, monkeypatch):
@@ -85,18 +84,9 @@ class TestSolveRho:
         monkeypatch.setattr(solver, "gmres", flagged_gmres)
         bp, t = circle_bp(64)
         ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
-        rho, stats = solve_rho(ks, np.cos(3 * t))
-        assert np.abs(rho - np.sin(3 * t)).max() < 1e-12
-        assert stats.residual <= 10 * 1e-14 * np.abs(ks.apply_M(np.cos(3 * t))).max()
-
-    def test_compute_h_matches_bundle(self):
-        bp, t = circle_bp(64)
-        ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
-        gamma = np.cos(2 * t)
-        sol = solve_bie(ks, gamma)
-        h, h_dev = compute_h(ks, sol.rho, gamma)
-        assert np.allclose(h, sol.h)
-        assert np.allclose(h_dev, sol.h_dev)
+        sol = solve_bie(ks, np.cos(3 * t))
+        assert np.abs(sol.rho - np.sin(3 * t)).max() < 1e-12
+        assert sol.stats.residual <= 10 * 1e-14 * np.abs(ks.apply_M(np.cos(3 * t))).max()
 
 
 class TestCauchyEval:

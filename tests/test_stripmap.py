@@ -103,6 +103,6 @@ class TestHelpers:
         # a second map with all angles zero sends every hole to a horizontal
         # slit: quasi-ellipse images have constant imaginary part
         md = channel_pre.map
-        ups = build_map(md.bp, np.zeros(md.m + 1), alpha=md.alpha)
+        ups = build_map(md.bp, np.zeros(md.m + 1))
         for zj in ups.zeta[1:]:
             assert zj.imag.max() - zj.imag.min() < 1e-10
