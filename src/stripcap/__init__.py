@@ -23,7 +23,7 @@ from .geometry import (
     psi_inv,
     trig_derivative,
 )
-from .kernels import KernelSet, build_A
+from .kernels import KernelSet
 from .preimage import IterationConfig, PreimageResult, initialize, iterate
 from .solver import BieSolution, cauchy_eval, solve_bie
 from .stripmap import (
@@ -61,7 +61,6 @@ __all__ = [
     "SlitSpec",
     "StripSlitDomain",
     "StripcapError",
-    "build_A",
     "build_map",
     "build_preimage_boundary",
     "capacity",

@@ -20,7 +20,6 @@ from .geometry import HALF_PI, SlitSpec, StripSlitDomain, segment_distance
 from .kernels import KernelSet
 from .preimage import IterationConfig, iterate
 from .solver import DEFAULT_MAXIT, DEFAULT_TOL, solve_bie
-from .stripmap import default_alpha
 
 # ---------------------------------------------------------------------------
 # elliptic integrals and exact formulas
@@ -85,6 +84,9 @@ class CondenserSpec:
             raise ValueError(
                 f"need {self.domain.m} potential levels, got {len(delta)}"
             )
+        for i, d in enumerate(delta):
+            if not np.isfinite(d):
+                raise ValueError(f"potential level delta[{i}] is not finite: {d}")
         object.__setattr__(self, "delta", delta)
 
 
@@ -111,7 +113,7 @@ def charges_from_boundary(bp, alphas, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     """
     m = bp.m
     theta = np.full(m + 1, HALF_PI)  # makes A(t) = eta(t) - alpha
-    ks = KernelSet(bp, theta, default_alpha(bp))
+    ks = KernelSet(bp, theta)
     H = np.empty((m + 1, m))
     for k in range(m):
         gamma_k = np.log(np.abs(bp.flat_eta - alphas[k]))

@@ -8,6 +8,7 @@ then sit on level curves of the imaginary part.
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -29,8 +30,10 @@ class GridSpec:
         for name in ("x_min", "x_max", "y_min", "y_max"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"grid bound {name} is not finite")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs at least 2 points per axis")
+        for name in ("nx", "ny"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
+                raise ValueError(f"{name} must be an int >= 2, got {value!r}")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("empty grid range")
 

@@ -346,23 +346,30 @@ class BoundaryParametrization:
         return np.asarray(flat_values).reshape(self.m + 1, self.n)
 
 
-def winding_number(curve, w):
-    """Discrete winding number of a sampled closed curve about point(s) w.
+def pairwise_differences(nodes, targets):
+    """Yield ``(rows, nodes[None, :] - targets[rows, None])`` for row slices
+    of ``targets`` of about 2^21 elements each.
 
-    The points are taken in row chunks, as in ``solver.cauchy_sums``, so the
-    (points x nodes) temporaries stay bounded.
+    Every dense (targets x nodes) loop of the package -- kernel assembly,
+    Cauchy sums and winding numbers -- takes its differences from here, so
+    one complex temporary stays at about 32 MB whatever the sizes.
     """
+    step = max(1, (1 << 21) // max(1, nodes.shape[0]))
+    for p0 in range(0, targets.shape[0], step):
+        rows = slice(p0, min(p0 + step, targets.shape[0]))
+        yield rows, nodes[None, :] - targets[rows, None]
+
+
+def winding_number(curve, w):
+    """Discrete winding number of a sampled closed curve about point(s) w."""
     curve = np.asarray(curve)
     w_in = np.asarray(w, dtype=complex)
     scalar = w_in.ndim == 0
     wv = np.atleast_1d(w_in)
     res = np.empty(wv.shape[0], dtype=int)
-    step = max(1, (1 << 21) // max(1, curve.shape[0]))
-    for p0 in range(0, wv.shape[0], step):
-        z = curve[None, :] - wv[p0 : p0 + step, None]
+    for rows, z in pairwise_differences(curve, wv):
         rot = np.roll(z, -1, axis=1) / z
-        total = np.angle(rot).sum(axis=1) / (2.0 * np.pi)
-        res[p0 : p0 + step] = np.rint(total)
+        res[rows] = np.rint(np.angle(rot).sum(axis=1) / (2.0 * np.pi))
     return int(res[0]) if scalar else res
 
 

@@ -23,31 +23,28 @@ import numpy as np
 from scipy.linalg import circulant
 
 from .errors import GeometryError
-from .geometry import trig_derivative, winding_number
+from .geometry import pairwise_differences, trig_derivative, winding_number
 
 
-def build_A(bp, theta, alpha):
-    """Samples of A(t) = e^{i(pi/2 - theta_j)} (eta(t) - alpha) on each J_j.
-
-    ``alpha`` must lie strictly inside the domain: winding +1 about the
-    outer circle and 0 about every (clockwise) hole boundary.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (bp.m + 1,):
-        raise ValueError(f"theta must have {bp.m + 1} entries")
-    _check_interior(bp, alpha)
-    phase = np.exp(1j * (0.5 * np.pi - theta))
-    return phase[:, None] * (bp.eta - alpha)
-
-
-def _check_interior(bp, alpha):
-    if winding_number(bp.eta[0], alpha) != 1:
-        raise GeometryError(f"base point {alpha} is not inside the unit circle")
-    for j in range(1, bp.m + 1):
-        if winding_number(bp.eta[j], alpha) != 0:
-            raise GeometryError(f"base point {alpha} lies inside hole {j}")
-    if np.abs(bp.flat_eta - alpha).min() < 1e-12:
-        raise GeometryError(f"base point {alpha} lies on the boundary")
+def default_alpha(bp):
+    """Base point for A: the candidate tanh(x/2), x in {-3,...,3} step 0.5,
+    that lies inside G and is farthest from all boundary curves (and more
+    than 1e-12 from every node)."""
+    candidates = np.tanh(np.arange(-3.0, 3.01, 0.5) / 2.0).astype(complex)
+    flat = bp.flat_eta
+    best, best_d = None, 1e-12
+    for cand in candidates:
+        ok = winding_number(bp.eta[0], cand) == 1 and all(
+            winding_number(bp.eta[j], cand) == 0 for j in range(1, bp.m + 1)
+        )
+        if not ok:
+            continue
+        d = np.abs(flat - cand).min()
+        if d > best_d:
+            best, best_d = cand, d
+    if best is None:
+        raise GeometryError("no candidate base point lies inside the domain")
+    return complex(best)
 
 
 def _assemble(eta, eta_dot, A, diag, n):
@@ -62,18 +59,14 @@ def _assemble(eta, eta_dot, A, diag, n):
     N = np.empty((ntot, ntot))
     M1 = np.empty((ntot, ntot))
     col = eta_dot / A / np.pi
-    # chunk rows to keep the complex temporaries bounded (~64 MB each)
-    step = max(1, (1 << 22) // ntot)
-    for i0 in range(0, ntot, step):
-        i1 = min(i0 + step, ntot)
-        dz = eta[None, :] - eta[i0:i1, None]
-        local = np.arange(i1 - i0)
-        dz[local, i0 + local] = 1.0  # any nonzero divisor: overwritten below
+    for rows, dz in pairwise_differences(eta, eta):
+        local = np.arange(rows.stop - rows.start)
+        dz[local, rows.start + local] = 1.0  # any nonzero divisor: overwritten below
         if not dz.all():
             raise GeometryError("coincident boundary nodes while assembling kernels")
-        c = (A[i0:i1, None] * col[None, :]) / dz
-        N[i0:i1] = c.imag
-        M1[i0:i1] = c.real
+        c = (A[rows, None] * col[None, :]) / dz
+        N[rows] = c.imag
+        M1[rows] = c.real
     k = np.arange(1, n)
     cot = circulant(np.concatenate([[0.0], 0.5 / np.pi / np.tan(np.pi * k / n)]))
     for j0 in range(0, ntot, n):
@@ -85,18 +78,23 @@ def _assemble(eta, eta_dot, A, diag, n):
 
 
 class KernelSet:
-    """Assembled Nystrom data for one geometry and one choice of A.
+    """Assembled Nystrom data for one geometry and one angle vector theta.
 
-    Stores the dense N and M1 matrices plus everything needed to apply the
+    The base point ``alpha`` of A is chosen from the geometry alone
+    (``default_alpha``), so every kernel on one geometry shares it.  Stores
+    the dense N and M1 matrices plus everything needed to apply the
     discretized operators.  Immutable once built; safe to share between
     concurrent solves.
     """
 
-    def __init__(self, bp, theta, alpha):
+    def __init__(self, bp, theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (bp.m + 1,):
+            raise ValueError(f"theta must have {bp.m + 1} entries")
         self.bp = bp
-        self.theta = np.asarray(theta, dtype=float)
-        self.alpha = complex(alpha)
-        self.A = build_A(bp, self.theta, self.alpha)
+        self.alpha = default_alpha(bp)
+        # A(t) = e^{i(pi/2 - theta_j)} (eta(t) - alpha) on each component
+        self.A = np.exp(1j * (0.5 * np.pi - theta))[:, None] * (bp.eta - self.alpha)
         # spectral second derivative of eta and first derivative of A,
         # component by component, for the diagonal limits
         eta_ddot = trig_derivative(bp.eta_dot)

@@ -6,6 +6,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConvergenceError, GeometryError
+from .geometry import pairwise_differences
 
 DEFAULT_TOL = 1e-14
 DEFAULT_MAXIT = 100
@@ -101,17 +102,14 @@ def cauchy_sums(bnodes, weights, values, targets):
     num = np.empty(npts, dtype=np.complex128)
     den = np.empty(npts, dtype=np.complex128)
     dmin = np.empty(npts)
-    step = max(1, (1 << 21) // max(1, bnodes.shape[0]))
     vw = values * weights
-    for p0 in range(0, npts, step):
-        sl = slice(p0, min(p0 + step, npts))
-        diff = bnodes[None, :] - targets[sl, None]
-        dmin[sl] = np.abs(diff).min(axis=1)
+    for rows, diff in pairwise_differences(bnodes, targets):
+        dmin[rows] = np.abs(diff).min(axis=1)
         # an exactly-coincident node would divide by zero; the caller rejects
         # the point via dmin anyway, so any finite placeholder works
         inv = 1.0 / np.where(diff == 0, 1.0, diff)
-        num[sl] = inv @ vw
-        den[sl] = inv @ weights
+        num[rows] = inv @ vw
+        den[rows] = inv @ weights
     return num, den, dmin
 
 

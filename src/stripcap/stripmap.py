@@ -54,26 +54,6 @@ def strip_gamma(bp, theta):
     return gamma.reshape(-1)
 
 
-def default_alpha(bp):
-    """Base point for A: the candidate tanh(x/2), x in {-3,...,3} step 0.5,
-    that lies inside G and is farthest from all boundary curves."""
-    candidates = np.tanh(np.arange(-3.0, 3.01, 0.5) / 2.0).astype(complex)
-    flat = bp.flat_eta
-    best, best_d = None, -1.0
-    for cand in candidates:
-        ok = winding_number(bp.eta[0], cand) == 1 and all(
-            winding_number(bp.eta[j], cand) == 0 for j in range(1, bp.m + 1)
-        )
-        if not ok:
-            continue
-        d = np.abs(flat - cand).min()
-        if d > best_d:
-            best, best_d = cand, d
-    if best is None:
-        raise GeometryError("no candidate base point lies inside the domain")
-    return complex(best)
-
-
 class MapData:
     """Solved state of one canonical map; immutable after construction."""
 
@@ -150,8 +130,7 @@ class MapData:
 def build_map(bp, theta, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     """Solve the boundary integral equation and assemble the map data."""
     theta = np.asarray(theta, dtype=float)
-    alpha = default_alpha(bp)
-    ks = KernelSet(bp, theta, alpha)
+    ks = KernelSet(bp, theta)
     gamma = strip_gamma(bp, theta)
     sol = solve_bie(ks, gamma, tol=tol, maxit=maxit)
     h_nodes = np.repeat(sol.h, bp.n)
@@ -160,7 +139,7 @@ def build_map(bp, theta, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     )
     # eta_0(n/4) = e^{i pi/2} = i exactly: f(i) is a boundary node value
     f_at_i = complex(f_boundary[0, bp.n // 4])
-    return MapData(bp, theta, alpha, sol, f_boundary, f_at_i)
+    return MapData(bp, theta, ks.alpha, sol, f_boundary, f_at_i)
 
 
 def extract_slit_images(md):

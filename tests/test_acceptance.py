@@ -22,7 +22,7 @@ from stripcap.flow import (
     stream_grid,
 )
 from stripcap.geometry import HALF_PI
-from stripcap.kernels import KernelSet, build_A
+from stripcap.kernels import KernelSet
 from stripcap.solver import cauchy_eval
 from stripcap.stripmap import inverse_map
 
@@ -199,7 +199,7 @@ def test_criterion_08_property_suite(four_slit_pre):
     bp = sc.BoundaryParametrization(
         np.exp(1j * t)[None, :], (1j * np.exp(1j * t))[None, :]
     )
-    ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
+    ks = KernelSet(bp, np.array([np.pi / 2]))
     checks["circle N"] = np.abs(ks.N + 1.0 / (2 * np.pi)).max() <= 1e-13
     checks["circle M1"] = np.abs(ks.M1).max() <= 1e-12
     # conjugation exactness on a trigonometric polynomial

@@ -6,8 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-mpmath = pytest.importorskip("mpmath")
-
 from stripcap.errors import ConvergenceError
 from stripcap.geometry import (
     BoundaryParametrization,
@@ -35,6 +33,7 @@ FAST = IterationConfig(n=128, eps=1e-13)
 
 class TestSpecialFunctions:
     def test_elliptic_K_vs_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         for r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             ref = float(mpmath.ellipk(r * r))  # mpmath takes m = r^2
@@ -130,6 +129,12 @@ class TestCapacity:
         dom = StripSlitDomain([SlitSpec(-0.5, 0.5)])
         with pytest.raises(ValueError):
             CondenserSpec(dom, np.ones(3))
+
+    @pytest.mark.parametrize("level", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta_rejected(self, level):
+        dom = StripSlitDomain([SlitSpec(-0.5, 0.5), SlitSpec(1.0j - 0.5, 1.0j + 0.5)])
+        with pytest.raises(ValueError, match=r"delta\[1\] is not finite"):
+            CondenserSpec(dom, (1.0, level))
 
     def test_charge_solves_use_run_settings(self, monkeypatch):
         capmod = importlib.import_module("stripcap.capacity")

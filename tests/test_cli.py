@@ -226,6 +226,16 @@ class TestCommands:
         assert proc.returncode == 1
         assert "slit endpoint a is not finite" in proc.stderr
 
+    def test_non_finite_delta_exit_1(self, tmp_path):
+        payload = dict(SMALL, delta=[float("nan")])
+        path = write_problem(tmp_path, payload)
+        assert "NaN" in open(path).read()
+        proc = run_cli(["capacity", "--input", path])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: potential level delta[0] is not finite")
+        assert len(proc.stderr.strip().splitlines()) == 1
+        assert "cap =" not in proc.stdout
+
     def test_main_callable_in_process(self, tmp_path, capsys):
         # main() is also the programmatic entry point
         path = write_problem(tmp_path, SMALL)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import stripcap.flow as flowmod
+from stripcap.errors import GeometryError
 from stripcap.geometry import SlitSpec, StripSlitDomain
 from stripcap.preimage import IterationConfig, iterate
 from stripcap.flow import (
@@ -16,6 +17,8 @@ from stripcap.flow import (
     slit_stream_levels,
     stream_grid,
 )
+
+from conftest import CHANNEL_SLITS
 
 
 class TestLevels:
@@ -119,6 +122,30 @@ class TestStreamGrid:
         d = np.abs(X + 1j * Y - mid)
         assert not field.mask[d < 0.03].any()
 
+    def test_pointwise_fallback(self):
+        # 6 + 1.55i is inside the strip and far from every slit, but at n=128
+        # it fails the inverse map's outer-boundary test.  The batched call
+        # raises, so stream_grid evaluates point by point: that one point is
+        # counted and masked, and the other eight keep their batched values.
+        pre = iterate(
+            StripSlitDomain(CHANNEL_SLITS), IterationConfig(n=128, r=0.2, eps=1e-11)
+        )
+        ups = horizontal_slit_map(pre)
+        grid = GridSpec(5.0, 6.0, 1.45, 1.55, 3, 3)
+        xs, ys = grid.axes()
+        X, Y = np.meshgrid(xs, ys)
+        Z = X + 1j * Y
+        with pytest.raises(GeometryError, match="outer boundary"):
+            complex_potential(pre, ups, Z.reshape(-1))
+        field = stream_grid(pre, ups, grid)
+        assert field.failures == 1
+        bad = Z == 6.0 + 1.55j
+        assert np.isnan(field.psi_values[bad]).all()
+        assert not field.mask[bad].any()
+        assert field.mask[~bad].all()
+        ref = complex_potential(pre, ups, Z[~bad]).imag
+        assert np.abs(field.psi_values[~bad] - ref).max() < 1e-10
+
     def test_io_round_trip(self, one_slit_pre, tmp_path):
         ups = horizontal_slit_map(one_slit_pre)
         grid = GridSpec(-2.0, 2.0, -1.0, 1.0, 9, 5)
@@ -142,6 +169,18 @@ class TestStreamGrid:
             GridSpec(-1.0, 1.0, -1.0, 1.0, 1, 5)
         with pytest.raises(ValueError):
             GridSpec(1.0, -1.0, -1.0, 1.0, 5, 5)
+
+    @pytest.mark.parametrize("name", ["nx", "ny"])
+    @pytest.mark.parametrize("value", [5.5, 5.0, "5", None, True, 1])
+    def test_bad_point_count_rejected(self, name, value):
+        counts = dict(nx=5, ny=5)
+        counts[name] = value
+        with pytest.raises(ValueError, match=f"{name} must be an int >= 2"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, **counts)
+
+    def test_numpy_point_count_accepted(self):
+        nx, ny = GridSpec(-1.0, 1.0, -1.0, 1.0, np.int64(4), np.int32(3)).axes()
+        assert (nx.size, ny.size) == (4, 3)
 
     @pytest.mark.parametrize("bound", ["x_min", "x_max", "y_min", "y_max"])
     @pytest.mark.parametrize("value", [float("-inf"), float("inf"), float("nan")])

@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import stripcap as sc
 from stripcap.geometry import BoundaryParametrization, psi_inv, psi_inv_deriv
-from stripcap.kernels import KernelSet, build_A, singular_cot_part
+from stripcap.kernels import KernelSet, singular_cot_part
+
+from conftest import FOUR_SLITS
 
 
 def circle_bp(n=128):
@@ -21,12 +25,12 @@ def two_component_bp(n=128):
 class TestClosedForms:
     def test_circle_N_is_constant(self):
         bp = circle_bp()
-        ks = KernelSet(bp, theta=[np.pi / 2], alpha=0.0)  # A = eta
+        ks = KernelSet(bp, theta=[np.pi / 2])  # alpha = 0, so A = eta
         assert np.abs(ks.N + 1.0 / (2 * np.pi)).max() < 1e-13
 
     def test_circle_M1_vanishes(self):
         bp = circle_bp()
-        ks = KernelSet(bp, theta=[np.pi / 2], alpha=0.0)
+        ks = KernelSet(bp, theta=[np.pi / 2])
         assert np.abs(ks.M1).max() < 1e-12
 
 
@@ -36,7 +40,7 @@ class TestDiagonal:
         the stored diagonal entry (an independent oracle for the Taylor
         limit)."""
         bp = two_component_bp(256)
-        ks = KernelSet(bp, theta=[np.pi / 2, np.pi / 2], alpha=0.0)
+        ks = KernelSet(bp, theta=[np.pi / 2, np.pi / 2])
         # continuous parametrization of the hole for off-grid samples
         p = sc.EllipseParams(z=0.3 + 0.2j, a=0.7, theta=0.4, r=0.35)
 
@@ -56,7 +60,7 @@ class TestDiagonal:
             return psi_inv_deriv(hat) * hat_dot
 
         t0 = bp.t[17]
-        alpha = 0.0
+        alpha = ks.alpha
 
         def A_of(t):
             return eta_of(t) - alpha
@@ -94,7 +98,7 @@ class TestConjugation:
         quadrature of that kernel."""
         n = 256
         bp = circle_bp(n)
-        ks = KernelSet(bp, theta=[np.pi / 2], alpha=0.0)
+        ks = KernelSet(bp, theta=[np.pi / 2])
         t = bp.t
         gamma = np.exp(np.cos(t)) * np.sin(t + 0.3)
         got = ks.apply_M(gamma)
@@ -115,8 +119,8 @@ class TestConjugation:
         p = sc.EllipseParams(z=0.3 + 0.2j, a=0.7, theta=0.4, r=0.35)
         bp = sc.build_preimage_boundary([p], n)
         theta = np.array([0.0, 0.4])
-        alpha = -0.5
-        ks = KernelSet(bp, theta=theta, alpha=alpha)
+        ks = KernelSet(bp, theta=theta)
+        alpha = ks.alpha
         t = bp.t
         h = 2 * np.pi / n
         t_off = t + 0.5 * h
@@ -164,7 +168,7 @@ class TestOperators:
         stored N; verify against the direct formula off the diagonal plus the
         stored diagonal (rules out indexing/transposition mistakes)."""
         bp = two_component_bp(64)
-        ks = KernelSet(bp, theta=[np.pi / 2, 0.1], alpha=0.0)
+        ks = KernelSet(bp, theta=[np.pi / 2, 0.1])
         x = np.cos(2 * bp.flat_t)
         eta = bp.flat_eta
         dot = bp.flat_eta_dot
@@ -184,7 +188,7 @@ class TestOperators:
 class TestAssembly:
     def test_kernel_matrices_finite_and_consistent(self):
         bp = two_component_bp(64)
-        ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]), 0.0)
+        ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]))
         assert np.all(np.isfinite(ks.N))
         assert np.all(np.isfinite(ks.M1))
         x = np.cos(3 * bp.flat_t)
@@ -195,7 +199,7 @@ class TestAssembly:
         """Off the diagonal M1 is Re C plus cot((t_i - t_j)/2)/(2 pi) within
         a component and Re C alone across components."""
         bp = two_component_bp(64)
-        ks = KernelSet(bp, theta=[np.pi / 2, 0.1], alpha=0.0)
+        ks = KernelSet(bp, theta=[np.pi / 2, 0.1])
         eta, dot, A = bp.flat_eta, bp.flat_eta_dot, ks.A.reshape(-1)
         t, comp = bp.flat_t, np.arange(bp.total) // bp.n
         for i in (0, 5, 63, 64, 100):
@@ -205,6 +209,21 @@ class TestAssembly:
             ref[same] += 0.5 / np.pi / np.tan(0.5 * (t[i] - t[off][same]))
             assert np.abs(ks.M1[i, off] - ref).max() < 1e-11
 
+    def test_transient_memory_bounded(self):
+        # beyond the stored N and M1, assembly holds at most three complex
+        # (rows x nodes) temporaries of one 2^21-element chunk (32 MiB each)
+        cfg = sc.IterationConfig(n=512)
+        dom = sc.StripSlitDomain(FOUR_SLITS)
+        bp = sc.build_preimage_boundary(sc.initialize(dom, cfg), cfg.n)
+        tracemalloc.start()
+        try:
+            ks = KernelSet(bp, np.full(bp.m + 1, np.pi / 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transient = peak - ks.N.nbytes - ks.M1.nbytes
+        assert transient <= 3 * 32 * 2**20 + 4 * 2**20
+
     def test_coincident_holes_rejected(self):
         one = two_component_bp(64)
         bp = BoundaryParametrization(  # the hole twice, node for node
@@ -212,19 +231,23 @@ class TestAssembly:
             np.vstack([one.eta_dot, one.eta_dot[1:]]),
         )
         with pytest.raises(sc.GeometryError, match="coincident"):
-            KernelSet(bp, np.full(3, np.pi / 2), 0.0)
+            KernelSet(bp, np.full(3, np.pi / 2))
 
 
-class TestBuildA:
-    def test_interior_check(self):
-        bp = two_component_bp(64)
-        with pytest.raises(sc.GeometryError):
-            build_A(bp, [np.pi / 2, np.pi / 2], alpha=2.0)  # outside disk
-        with pytest.raises(sc.GeometryError):
-            # inside the hole
-            build_A(bp, [np.pi / 2, np.pi / 2], alpha=psi_inv(0.3 + 0.2j))
+class TestConstruction:
+    def test_no_interior_candidate_rejected(self):
+        # a hole covering the whole real diameter leaves no candidate
+        n = 64
+        t = 2 * np.pi * np.arange(n) / n
+        outer = np.exp(1j * t)
+        hole = 0.999 * np.exp(-1j * t)
+        bp = BoundaryParametrization(
+            np.vstack([outer, hole]), np.vstack([1j * outer, -1j * hole])
+        )
+        with pytest.raises(sc.GeometryError, match="base point"):
+            KernelSet(bp, [np.pi / 2, np.pi / 2])
 
     def test_theta_shape_validated(self):
         bp = two_component_bp(64)
-        with pytest.raises(ValueError):
-            build_A(bp, [np.pi / 2], alpha=0.0)
+        with pytest.raises(ValueError, match="theta"):
+            KernelSet(bp, [np.pi / 2])

@@ -21,7 +21,7 @@ class TestSolveRho:
         # A = eta on the unit circle; boundary data of the analytic f(w) = w^2
         # is A f = e^{3it}, so gamma = cos 3t must produce rho = sin 3t, h = 0
         bp, t = circle_bp()
-        ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
+        ks = KernelSet(bp, np.array([np.pi / 2]))
         sol = solve_bie(ks, np.cos(3 * t))
         assert np.abs(sol.rho - np.sin(3 * t)).max() < 1e-12
         assert np.abs(sol.h).max() < 1e-13
@@ -29,7 +29,7 @@ class TestSolveRho:
 
     def test_linearity(self):
         bp, t = circle_bp(64)
-        ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
+        ks = KernelSet(bp, np.array([np.pi / 2]))
         g1 = np.cos(2 * t) + 0.3 * np.sin(5 * t)
         g2 = np.sin(t) - np.cos(4 * t)
         r1 = solve_bie(ks, g1).rho
@@ -39,7 +39,7 @@ class TestSolveRho:
 
     def test_zero_rhs_short_circuit(self):
         bp, t = circle_bp(64)
-        ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
+        ks = KernelSet(bp, np.array([np.pi / 2]))
         sol = solve_bie(ks, np.zeros_like(t))
         assert np.abs(sol.rho).max() == 0.0
         assert sol.stats.iterations == 0
@@ -48,7 +48,7 @@ class TestSolveRho:
 
     def test_invalid_inputs(self):
         bp, t = circle_bp(64)
-        ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
+        ks = KernelSet(bp, np.array([np.pi / 2]))
         with pytest.raises(ValueError):
             solve_bie(ks, np.full_like(t, np.nan))
         with pytest.raises(ValueError):
@@ -64,7 +64,7 @@ class TestSolveRho:
             np.vstack([np.exp(1j * t), he]),
             np.vstack([1j * np.exp(1j * t), hd]),
         )
-        ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]), 0.0)
+        ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]))
         gamma = np.log(np.abs(bp.flat_eta - 0.3))
         with pytest.raises(ConvergenceError) as exc:
             solve_bie(ks, gamma, maxit=2)
@@ -83,7 +83,7 @@ class TestSolveRho:
 
         monkeypatch.setattr(solver, "gmres", flagged_gmres)
         bp, t = circle_bp(64)
-        ks = KernelSet(bp, np.array([np.pi / 2]), 0.0)
+        ks = KernelSet(bp, np.array([np.pi / 2]))
         sol = solve_bie(ks, np.cos(3 * t))
         assert np.abs(sol.rho - np.sin(3 * t)).max() < 1e-12
         assert sol.stats.residual <= 10 * 1e-14 * np.abs(ks.apply_M(np.cos(3 * t))).max()

@@ -5,9 +5,9 @@ import pytest
 
 from stripcap.errors import GeometryError
 from stripcap.geometry import HALF_PI, StripSlitDomain, build_preimage_boundary, psi
+from stripcap.kernels import default_alpha
 from stripcap.stripmap import (
     build_map,
-    default_alpha,
     extract_slit_images,
     inverse_map,
     strip_gamma,
@@ -94,6 +94,8 @@ class TestHelpers:
     def test_default_alpha_interior(self, four_slit_pre):
         bp = four_slit_pre.map.bp
         a = default_alpha(bp)
+        # the map pairs with the base point its kernel chose
+        assert four_slit_pre.map.alpha == a
         assert abs(a) < 1.0
         # not inside any hole: distance to every hole boundary is positive
         for comp in bp.eta[1:]:
