@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, GeometryError, StripcapError
-from .geometry import HALF_PI, SlitSpec, StripSlitDomain, segment_distance
+from .errors import GeometryError, StripcapError
+from .geometry import HALF_PI, SlitSpec, StripSlitDomain, psi_inv, segment_distance
 from .kernels import KernelSet
 from .preimage import IterationConfig, iterate
 from .solver import DEFAULT_MAXIT, DEFAULT_TOL, solve_bie
@@ -131,15 +131,10 @@ def charges_from_boundary(bp, alphas, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
 def capacity(spec, cfg=IterationConfig()):
     """cap(S, E, delta) by preimage iteration plus the charge system."""
     pre = iterate(spec.domain, cfg)
-    if not pre.converged:
-        raise ConvergenceError(
-            f"preimage iteration did not reach {cfg.eps} in {cfg.max_iter} "
-            f"iterations (last error {pre.error_history[-1]:.3e})",
-            history=pre.error_history,
-        )
+    pre.require_converged()
     bp = pre.map.bp
     # a point inside hole k: the image of the ellipse center
-    alphas = [np.tanh(p.z / 2.0) for p in pre.params]
+    alphas = [psi_inv(p.z) for p in pre.params]
     a, c = charges_from_boundary(
         bp, alphas, tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit
     )

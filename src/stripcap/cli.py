@@ -190,9 +190,6 @@ def cmd_flow(args, problem, cfg):
     # stream_grid owns the default exclusion distance
     options = {"exclusion": spec["exclusion"]} if "exclusion" in spec else {}
     pre = iterate(problem.domain, cfg)
-    if not pre.converged:
-        print("preimage iteration did not converge", file=sys.stderr)
-        return 2
     upsilon = horizontal_slit_map(pre)
     out_field = stream_grid(pre, upsilon, grid, **options)
     if args.json:

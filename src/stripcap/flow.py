@@ -12,7 +12,6 @@ from numbers import Integral
 
 import numpy as np
 
-from .errors import GeometryError
 from .geometry import HALF_PI, point_segment_distance
 from .stripmap import build_map, inverse_map
 
@@ -81,7 +80,9 @@ class FlowField:
 
 def horizontal_slit_map(pre):
     """Second canonical map from the converged preimage: all angles zero,
-    solved with the run's own solver settings."""
+    solved with the run's own solver settings.  Raises ConvergenceError when
+    the preimage iteration missed its tolerance."""
+    pre.require_converged()
     md = pre.map
     theta = np.zeros(md.bp.m + 1)
     return build_map(
@@ -91,11 +92,17 @@ def horizontal_slit_map(pre):
 
 def complex_potential(pre, upsilon, points):
     """W(z) on points of the slit strip: forward horizontal-slit map
-    composed with the inverse of the original map."""
+    composed with the inverse of the original map.
+
+    As in inverse_map, a point outside the strip raises GeometryError and a
+    point inside it beyond the sampled outer boundary gives nan+nanj.
+    """
     pts_in = np.asarray(points, dtype=complex)
     pts = np.atleast_1d(pts_in)
     w = inverse_map(pre.map, pts)
-    vals = upsilon.eval(w)
+    vals = np.full(pts.shape, complex(np.nan, np.nan))
+    ok = np.isfinite(w)
+    vals[ok] = upsilon.eval(w[ok])
     return vals if pts_in.ndim else complex(vals[0])
 
 
@@ -110,10 +117,13 @@ def slit_stream_levels(upsilon):
 def stream_grid(pre, upsilon, grid, exclusion=0.02):
     """Sample Im W on a rectangular grid, masking excluded points.
 
-    Masked: outside the open strip, within ``exclusion`` of any slit, or
-    failing the interior test of the inverse map.  Evaluation failures at
-    individual points are masked and counted rather than raised.
+    Masked: outside the open strip, within ``exclusion`` (finite, >= 0) of
+    any slit, or beyond the sampled outer boundary, where complex_potential
+    gives NaN; the last kind is counted in ``failures``.  All unmasked
+    points go through one batched complex_potential call.
     """
+    if not (np.isfinite(exclusion) and exclusion >= 0.0):
+        raise ValueError(f"exclusion must be finite and >= 0, got {exclusion!r}")
     xs, ys = grid.axes()
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y
@@ -121,21 +131,7 @@ def stream_grid(pre, upsilon, grid, exclusion=0.02):
     for s in pre.omega.slits:
         mask &= point_segment_distance(Z, s.a, s.b) > exclusion
     psi_values = np.full(Z.shape, np.nan)
-    idx = np.where(mask.reshape(-1))[0]
-    if idx.size:
-        flat = Z.reshape(-1)[idx]
-        try:
-            vals = np.asarray(complex_potential(pre, upsilon, flat)).imag
-        except GeometryError:
-            # fall back to pointwise evaluation so one bad point cannot
-            # poison the whole grid
-            vals = np.full(idx.size, np.nan)
-            for i, z in enumerate(flat):
-                try:
-                    vals[i] = complex(complex_potential(pre, upsilon, z)).imag
-                except GeometryError:
-                    pass
-        psi_values.reshape(-1)[idx] = vals
+    psi_values[mask] = complex_potential(pre, upsilon, Z[mask]).imag
     failures = int((mask & ~np.isfinite(psi_values)).sum())
     mask &= np.isfinite(psi_values)
     psi_values[~mask] = np.nan

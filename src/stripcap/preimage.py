@@ -14,6 +14,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .geometry import EllipseParams, build_preimage_boundary
 from .solver import DEFAULT_MAXIT, DEFAULT_TOL
 from .stripmap import build_map, extract_slit_images
@@ -62,6 +63,16 @@ class PreimageResult:
     @property
     def iterations(self):
         return len(self.error_history)
+
+    def require_converged(self):
+        """Raise ConvergenceError unless the iteration met its tolerance."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"preimage iteration did not reach {self.cfg.eps} in "
+                f"{self.cfg.max_iter} iterations (last error "
+                f"{self.error_history[-1]:.3e})",
+                history=self.error_history,
+            )
 
 
 def initialize(omega, cfg):

@@ -103,13 +103,14 @@ def cauchy_sums(bnodes, weights, values, targets):
     den = np.empty(npts, dtype=np.complex128)
     dmin = np.empty(npts)
     vw = values * weights
-    for rows, diff in pairwise_differences(bnodes, targets):
-        dmin[rows] = np.abs(diff).min(axis=1)
-        # an exactly-coincident node would divide by zero; the caller rejects
-        # the point via dmin anyway, so any finite placeholder works
-        inv = 1.0 / np.where(diff == 0, 1.0, diff)
-        num[rows] = inv @ vw
-        den[rows] = inv @ weights
+    # an exactly-coincident node divides by zero; the caller rejects that
+    # point via dmin, so its non-finite sums are never read
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows, diff in pairwise_differences(bnodes, targets):
+            dmin[rows] = np.abs(diff).min(axis=1)
+            inv = 1.0 / diff
+            num[rows] = inv @ vw
+            den[rows] = inv @ weights
     return num, den, dmin
 
 
@@ -128,6 +129,6 @@ def cauchy_eval(bnodes, bder, bvalues, points):
     bvalues = np.asarray(bvalues, dtype=complex).reshape(-1)
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
     num, den, dmin = cauchy_sums(bnodes, bder, bvalues, pts)
-    if dmin.min() < 1e-13:
+    if (dmin < 1e-13).any():
         raise GeometryError("evaluation point lies on the boundary")
     return num / den

@@ -24,6 +24,7 @@ from .errors import GeometryError
 from .geometry import (
     HALF_PI,
     psi,
+    psi_inv,
     trig_derivative,
     trig_interp,
     trig_interp_maximizer,
@@ -42,13 +43,19 @@ class SlitImage:
     theta: float
 
 
+def _near_poles(w):
+    """Where w lies within 1e-13 of the poles +-1 of psi (the outer node at
+    -1 is e^{i pi} = -1 + 1.2e-16i in floating point)."""
+    return (np.abs(w - 1.0) < 1e-13) | (np.abs(w + 1.0) < 1e-13)
+
+
 def strip_gamma(bp, theta):
     """Right-hand data for the slit-strip map: 0 on the circle, the
     rotated height Im[e^{-i theta_j} psi(eta)] on each hole boundary."""
     theta = np.asarray(theta, dtype=float)
     gamma = np.zeros((bp.m + 1, bp.n))
     for j in range(1, bp.m + 1):
-        if min(np.abs(bp.eta[j] - 1.0).min(), np.abs(bp.eta[j] + 1.0).min()) < 1e-13:
+        if _near_poles(bp.eta[j]).any():
             raise GeometryError(f"inner curve {j} touches the branch points +-1")
         gamma[j] = (np.exp(-1j * theta[j]) * psi(bp.eta[j])).imag
     return gamma.reshape(-1)
@@ -68,28 +75,19 @@ class MapData:
         self.zeta_tilde = self._bounded_image()
         self.zeta_tilde_dot = trig_derivative(self.zeta_tilde)
 
+    def _affine(self, w, f):
+        """The part of Phi besides psi: -(i - alpha) f(i) + (w - alpha) f(w)."""
+        return -(1j - self.alpha) * self.f_at_i + (w - self.alpha) * f
+
     def _boundary_image(self):
-        """zeta(t) = -i f(i) + eta f(eta) + psi(eta); the two outer nodes at
-        eta = +-1 get the exact limits +-infinity + i*0.  The node at -1 is
-        e^{i pi} = -1 + 1.2e-16i in floating point, so the poles are found
-        within 1e-13, as in strip_gamma."""
-        bp = self.bp
-        zeta = np.empty_like(bp.eta)
-        base = (
-            -(1j - self.alpha) * self.f_at_i
-            + (bp.eta - self.alpha) * self.f_boundary
-        )
-        for j in range(bp.m + 1):
-            row = bp.eta[j]
-            if j == 0:
-                vals = np.empty(bp.n, dtype=complex)
-                poles = (np.abs(row - 1.0) < 1e-13) | (np.abs(row + 1.0) < 1e-13)
-                vals[~poles] = psi(row[~poles])
-                vals[poles] = np.where(row[poles].real > 0, np.inf, -np.inf)
-                zeta[j] = base[j] + vals
-                zeta[j, poles] = vals[poles]
-            else:
-                zeta[j] = base[j] + psi(row)
+        """zeta(t) = Phi(eta(t)); the outer nodes at eta = +-1 get the exact
+        limits +-infinity + i*0 (strip_gamma keeps the holes off them)."""
+        eta = self.bp.eta
+        poles = _near_poles(eta)
+        vals = np.zeros_like(eta)
+        vals[~poles] = psi(eta[~poles])
+        zeta = self._affine(eta, self.f_boundary) + vals
+        zeta[poles] = np.where(eta[poles].real > 0, np.inf, -np.inf)
         return zeta
 
     def _bounded_image(self):
@@ -97,11 +95,10 @@ class MapData:
 
             tanh((a + psi(w))/2) = (e^a (1+w) - (1-w)) / (e^a (1+w) + (1-w))
 
-        with a = -(i-alpha) f(i) + (w-alpha) f(w); finite and smooth through
+        with a = Phi(w) - psi(w) from _affine; finite and smooth through
         w = +-1."""
         w = self.bp.eta
-        a = -(1j - self.alpha) * self.f_at_i + (w - self.alpha) * self.f_boundary
-        B = np.exp(a)
+        B = np.exp(self._affine(w, self.f_boundary))
         p = B * (1.0 + w)
         q = 1.0 - w
         return (p - q) / (p + q)
@@ -119,11 +116,7 @@ class MapData:
             self.f_boundary.reshape(-1),
             pts,
         )
-        out = (
-            -(1j - self.alpha) * self.f_at_i
-            + (pts - self.alpha) * fvals
-            + psi(pts)
-        )
+        out = self._affine(pts, fvals) + psi(pts)
         return out if np.asarray(points).ndim else complex(out[0])
 
 
@@ -174,20 +167,23 @@ def inverse_map(md, points):
     bounds a domain inside the unit disk where g has boundary values eta(t),
     so g is recovered by the normalized Cauchy sum with spectrally
     differentiated zeta~.
+
+    A point outside the strip raises GeometryError.  A point inside it that
+    the sampled outer boundary zeta~_0 does not wind around once (near the
+    walls far out, beyond what n nodes resolve) gives nan+nanj.
     """
     pts_in = np.asarray(points, dtype=complex)
     pts = np.atleast_1d(pts_in)
     if np.any(np.abs(pts.imag) >= HALF_PI):
         raise GeometryError("point outside the strip")
-    zt = np.tanh(pts / 2.0)
-    wind = winding_number(md.zeta_tilde[0], zt)
-    if np.any(wind != 1):
-        raise GeometryError("point outside the domain (outer boundary test)")
-    vals = cauchy_eval(
+    zt = psi_inv(pts)
+    inside = winding_number(md.zeta_tilde[0], zt) == 1
+    vals = np.full(pts.shape, complex(np.nan, np.nan))
+    vals[inside] = cauchy_eval(
         md.zeta_tilde.reshape(-1),
         md.zeta_tilde_dot.reshape(-1),
         md.bp.flat_eta,
-        zt,
+        zt[inside],
     )
     return vals if pts_in.ndim else complex(vals[0])
 

@@ -68,3 +68,13 @@ def channel_pre():
     pre = sc.iterate(dom, sc.IterationConfig(n=256, r=0.2, eps=1e-11))
     assert pre.converged
     return pre
+
+
+@pytest.fixture(scope="session")
+def channel_128_pre():
+    """The channel at n=128: too coarse for the walls far out, where points
+    such as 6 + 1.55i fail the inverse map's outer-boundary test."""
+    dom = sc.StripSlitDomain(CHANNEL_SLITS)
+    pre = sc.iterate(dom, sc.IterationConfig(n=128, r=0.2, eps=1e-11))
+    assert pre.converged
+    return pre

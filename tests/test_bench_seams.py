@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stripcap.flow import GridSpec, horizontal_slit_map, stream_grid
 from stripcap.geometry import BoundaryParametrization
 from stripcap.kernels import KernelSet
 from stripcap.solver import solve_bie
@@ -22,6 +23,10 @@ from stripcap.solver import solve_bie
 LAYERS = runpy.run_path(
     str(Path(__file__).resolve().parents[1] / "pipebench" / "layers.py")
 )
+
+# The spans that a stream_grid call must reach: the benchmark's
+# flow-channel-n512 workload reports their metrics missing otherwise.
+FLOW_PATH = ("stripmap.inverse_map", "stripmap.eval", "solver.cauchy", "geometry.winding")
 
 # span -> the argument names its counters read
 COUNTED_ARGS = {
@@ -63,3 +68,16 @@ def test_solve_counters_read_result():
     assert sol.h_dev.shape == (1,)
     for _, _, _, getter in LAYERS["COUNTERS"]["solver.solve"]:
         assert np.isfinite(getter({}, sol))
+
+
+def test_stream_grid_reaches_flow_spans(one_slit_pre):
+    ups = horizontal_slit_map(one_slit_pre)
+    tracer = LAYERS["Tracer"]()
+    tracer.install()
+    try:
+        stream_grid(one_slit_pre, ups, GridSpec(-2.0, 2.0, -1.0, 1.0, 5, 3))
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["flow.grid"] == 1
+    assert not tracer.missing
+    assert all(tracer.calls[span] >= 1 for span in FLOW_PATH), dict(tracer.calls)

@@ -133,6 +133,23 @@ class TestCommands:
         assert lines[0] == "x,y,psi"
         assert len(lines) == 1 + 11 * 7
 
+    def test_flow_nonconvergence_exit_2(self, tmp_path):
+        payload = dict(SMALL, flow={"nx": 5, "ny": 5})
+        path = write_problem(tmp_path, payload)
+        proc = run_cli(
+            ["flow", "--input", path, "--max-iter", "1", "--out", str(tmp_path / "f.csv")]
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    def test_flow_negative_exclusion_exit_1(self, tmp_path):
+        payload = dict(SMALL, flow={"nx": 5, "ny": 5, "exclusion": -1})
+        path = write_problem(tmp_path, payload)
+        proc = run_cli(["flow", "--input", path, "--out", str(tmp_path / "f.csv")])
+        assert proc.returncode == 1
+        assert "exclusion must be finite and >= 0" in proc.stderr
+
     def test_flow_malformed_grid(self, tmp_path):
         payload = dict(SMALL)
         payload["flow"] = {"x": [3], "nx": 10, "ny": 5}

@@ -1,12 +1,13 @@
 """Uniform potential flow past slit obstacles."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import stripcap.flow as flowmod
-from stripcap.errors import GeometryError
+from stripcap.errors import ConvergenceError
 from stripcap.geometry import SlitSpec, StripSlitDomain
 from stripcap.preimage import IterationConfig, iterate
 from stripcap.flow import (
@@ -17,8 +18,6 @@ from stripcap.flow import (
     slit_stream_levels,
     stream_grid,
 )
-
-from conftest import CHANNEL_SLITS
 
 
 class TestLevels:
@@ -50,6 +49,12 @@ class TestLevels:
         horizontal_slit_map(pre)
         assert len(seen) == 1
         assert seen[0]["tol"] == 1e-12 and seen[0]["maxit"] == 50
+
+    def test_unconverged_preimage_rejected(self):
+        dom = StripSlitDomain([SlitSpec(-0.5j, 0.5j)])
+        pre = iterate(dom, IterationConfig(n=64, eps=1e-30, max_iter=1))
+        with pytest.raises(ConvergenceError, match="did not reach"):
+            horizontal_slit_map(pre)
 
 
 class TestComplexPotential:
@@ -122,29 +127,50 @@ class TestStreamGrid:
         d = np.abs(X + 1j * Y - mid)
         assert not field.mask[d < 0.03].any()
 
-    def test_pointwise_fallback(self):
+    def test_unresolved_point_is_nan(self, channel_128_pre, monkeypatch):
         # 6 + 1.55i is inside the strip and far from every slit, but at n=128
-        # it fails the inverse map's outer-boundary test.  The batched call
-        # raises, so stream_grid evaluates point by point: that one point is
-        # counted and masked, and the other eight keep their batched values.
-        pre = iterate(
-            StripSlitDomain(CHANNEL_SLITS), IterationConfig(n=128, r=0.2, eps=1e-11)
-        )
+        # it fails the inverse map's outer-boundary test: complex_potential
+        # gives nan+nanj there and finite values elsewhere, and stream_grid
+        # masks and counts that one point from a single batched call
+        pre = channel_128_pre
         ups = horizontal_slit_map(pre)
         grid = GridSpec(5.0, 6.0, 1.45, 1.55, 3, 3)
         xs, ys = grid.axes()
         X, Y = np.meshgrid(xs, ys)
         Z = X + 1j * Y
-        with pytest.raises(GeometryError, match="outer boundary"):
-            complex_potential(pre, ups, Z.reshape(-1))
-        field = stream_grid(pre, ups, grid)
-        assert field.failures == 1
         bad = Z == 6.0 + 1.55j
+        batched = complex_potential(pre, ups, Z.reshape(-1)).reshape(Z.shape)
+        assert np.isnan(batched[bad].real).all() and np.isnan(batched[bad].imag).all()
+        assert np.isfinite(batched[~bad]).all()
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return complex_potential(*args, **kwargs)
+
+        monkeypatch.setattr(flowmod, "complex_potential", spy)
+        field = stream_grid(pre, ups, grid)
+        assert len(calls) == 1
+        assert field.failures == 1
         assert np.isnan(field.psi_values[bad]).all()
         assert not field.mask[bad].any()
         assert field.mask[~bad].all()
-        ref = complex_potential(pre, ups, Z[~bad]).imag
-        assert np.abs(field.psi_values[~bad] - ref).max() < 1e-10
+        assert np.array_equal(field.psi_values[~bad], batched[~bad].imag)
+
+    def test_all_unresolved_batch(self, channel_128_pre):
+        ups = horizontal_slit_map(channel_128_pre)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            W = complex_potential(channel_128_pre, ups, np.full(3, 6.0 + 1.55j))
+        assert W.shape == (3,)
+        assert np.isnan(W.real).all() and np.isnan(W.imag).all()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -0.1])
+    def test_bad_exclusion_rejected(self, one_slit_pre, value):
+        ups = horizontal_slit_map(one_slit_pre)
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
+        with pytest.raises(ValueError, match="exclusion"):
+            stream_grid(one_slit_pre, ups, grid, exclusion=value)
 
     def test_io_round_trip(self, one_slit_pre, tmp_path):
         ups = horizontal_slit_map(one_slit_pre)

@@ -129,6 +129,14 @@ class TestCauchyEval:
                 np.array([bp.flat_eta[5]]),
             )
 
+    def test_no_points(self):
+        bp, t = circle_bp(64)
+        vals = cauchy_eval(
+            bp.flat_eta, bp.flat_eta_dot, np.ones(bp.flat_eta.size),
+            np.array([], dtype=complex),
+        )
+        assert vals.shape == (0,)
+
     def test_multiply_connected_reproduction(self):
         # disk minus one elliptical hole; f(w) = 1/(w - z0) with the pole z0
         # hidden inside the hole is analytic on the domain and must be

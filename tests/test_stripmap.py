@@ -77,6 +77,13 @@ class TestEval:
         with pytest.raises(GeometryError):
             inverse_map(four_slit_pre.map, np.array([0.5 + 2.0j]))
 
+    def test_unresolved_point_is_nan(self, channel_128_pre):
+        # inside the strip, but beyond what the outer boundary resolves at
+        # n=128: NaN in both parts, since a flow grid reads the imaginary part
+        w = inverse_map(channel_128_pre.map, 6.0 + 1.55j)
+        assert isinstance(w, complex)
+        assert np.isnan(w.real) and np.isnan(w.imag)
+
     def test_eval_on_boundary_rejected(self, four_slit_pre):
         md = four_slit_pre.map
         with pytest.raises(GeometryError):
