@@ -26,41 +26,48 @@ from .solver import DEFAULT_MAXIT, DEFAULT_TOL, solve_bie
 # ---------------------------------------------------------------------------
 
 
-def elliptic_K(r):
-    """Complete elliptic integral of the first kind via the AGM.
-
-    K(r) = pi / (2 * AGM(1, sqrt(1 - r^2))); quadratic convergence gives
-    machine precision in a handful of sweeps.
-    """
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"elliptic_K requires 0 <= r < 1, got {r}")
-    a = 1.0
-    b = np.sqrt((1.0 - r) * (1.0 + r))
+def _agm(a, b):
+    """Arithmetic-geometric mean of a, b > 0; quadratic convergence gives
+    machine precision in a handful of sweeps."""
     while abs(a - b) > 1e-15 * a:
         a, b = 0.5 * (a + b), np.sqrt(a * b)
-    return np.pi / (2.0 * a)
+    return a
+
+
+def elliptic_K(r):
+    """Complete elliptic integral of the first kind: K(r) = pi / (2 AGM(1, r'))
+    with the complementary modulus r' = sqrt(1 - r^2)."""
+    if not (0.0 <= r < 1.0):
+        raise ValueError(f"elliptic_K requires 0 <= r < 1, got {r}")
+    return np.pi / (2.0 * _agm(1.0, np.sqrt((1.0 - r) * (1.0 + r))))
 
 
 def mu(r):
-    """Modulus of the Grotzsch ring: (pi/2) K(sqrt(1-r^2)) / K(r)."""
+    """Modulus of the Grotzsch ring: (pi/2) K(r') / K(r), which is
+    (pi/2) AGM(1, r') / AGM(1, r)."""
     if not (0.0 < r < 1.0):
         raise ValueError(f"mu requires 0 < r < 1, got {r}")
-    rc = np.sqrt((1.0 - r) * (1.0 + r))
-    return HALF_PI * elliptic_K(rc) / elliptic_K(r)
+    return HALF_PI * _agm(1.0, np.sqrt((1.0 - r) * (1.0 + r))) / _agm(1.0, r)
+
+
+# The exact capacities are 2*pi / mu(r) = 4 AGM(1, r) / AGM(1, r').  Both
+# moduli come from s directly: r' formed from a rounded r loses digits as r
+# nears 0 or 1.
 
 
 def exact_cap_vertical(s):
     """cap(S, [-s*i, s*i]) = 2*pi / mu(sin s) for 0 < s < pi/2."""
     if not (0.0 < s < HALF_PI):
         raise ValueError(f"vertical slit half-length must be in (0, pi/2), got {s}")
-    return 2.0 * np.pi / mu(np.sin(s))
+    return 4.0 * _agm(1.0, np.sin(s)) / _agm(1.0, np.cos(s))
 
 
 def exact_cap_horizontal(s):
-    """cap(S, [-s, s]) = 2*pi / mu(tanh s) for s > 0."""
-    if s <= 0.0:
-        raise ValueError(f"horizontal slit half-length must be positive, got {s}")
-    return 2.0 * np.pi / mu(np.tanh(s))
+    """cap(S, [-s, s]) = 2*pi / mu(tanh s) for 0 < s < 700 (cosh s overflows
+    a double past 710)."""
+    if not (0.0 < s < 700.0):
+        raise ValueError(f"horizontal slit half-length must be in (0, 700), got {s}")
+    return 4.0 * _agm(1.0, np.tanh(s)) / _agm(1.0, 1.0 / np.cosh(s))
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +164,13 @@ class StudyPoint:
 
 
 def capacity_study(samples):
-    """Evaluate capacity over (param, spec, cfg) samples; errors are
-    recorded per sample and the sweep continues."""
+    """Evaluate capacity over (param, spec, cfg) samples.
+
+    A numerical failure inside ``capacity`` (no convergence, a singular
+    charge system) is recorded as a row with ``converged=False`` and the
+    sweep continues.  Malformed input is not a row: ``study_samples``
+    rejects a bad family, family parameter or geometry before any solve.
+    """
     table = []
     for param, spec, cfg in samples:
         try:
@@ -181,48 +193,32 @@ def capacity_study(samples):
     return table
 
 
-def _two_slit_domain(offset, half):
-    return StripSlitDomain(
-        [
-            SlitSpec(-offset - half, -offset + half),
-            SlitSpec(offset - half, offset + half),
-        ]
-    )
+# Example families: name -> parameter p -> (slit endpoint pairs, largest
+# ellipse aspect ratio r).  two_vertical clamps r to x/2 so that the two
+# holes stay apart as the slits close in.
+STUDY_FAMILIES = {
+    # E = (-x + [-i, i]) u (x + [-i, i])
+    "two_vertical": lambda x: ([(-x - 1j, -x + 1j), (x - 1j, x + 1j)], 0.5 * x),
+    # E = (-x + [-1, 1]) u (x + [-1, 1]), x > 1
+    "two_horizontal": lambda x: ([(-x - 1.0, -x + 1.0), (x - 1.0, x + 1.0)], 1.0),
+    # E = i*s + [-i, i]
+    "vertical_shift": lambda s: ([(1j * s - 1j, 1j * s + 1j)], 1.0),
+    # E = i*s + [-1, 1]
+    "horizontal_shift": lambda s: ([(1j * s - 1.0, 1j * s + 1.0)], 1.0),
+}
 
 
-def two_vertical_family(values, base_cfg):
-    """Example family: E = (-x + [-i, i]) u (x + [-i, i]); r clamps to x/2."""
-    for x in values:
-        cfg = replace(base_cfg, r=min(base_cfg.r, 0.5 * x))
-        yield x, CondenserSpec(_two_slit_domain(float(x), 1j)), cfg
-
-
-def two_horizontal_family(values, base_cfg):
-    """Example family: E = (-x + [-1, 1]) u (x + [-1, 1]), x > 1."""
-    for x in values:
-        yield x, CondenserSpec(_two_slit_domain(float(x), 1.0)), base_cfg
-
-
-def vertical_shift_family(values, base_cfg):
-    """Example family: E = i*s + [-i, i]."""
-    for s in values:
-        dom = StripSlitDomain([SlitSpec(1j * s - 1j, 1j * s + 1j)])
-        yield s, CondenserSpec(dom), base_cfg
-
-
-def horizontal_shift_family(values, base_cfg):
-    """Example family: E = i*s + [-1, 1]."""
-    for s in values:
-        dom = StripSlitDomain([SlitSpec(1j * s - 1.0, 1j * s + 1.0)])
-        yield s, CondenserSpec(dom), base_cfg
-
-
-def random_slits_family(count, m, seed, base_cfg, box_height=0.0):
-    """Random horizontal slits of length 2/m, centers in [-4, 4] (and, when
-    box_height > 0, imaginary parts in [-box_height, box_height]); rejection
-    sampling keeps pairwise slit distance >= 1e-3."""
+def _random_horizontal(count, m, seed, box_height):
+    """``count`` layouts of m horizontal slits of length 2/m, centers in
+    [-4, 4] (and, when box_height > 0, imaginary parts in [-box_height,
+    box_height]); rejection sampling keeps pairwise slit distance >= 1e-3."""
+    if m < 1:
+        raise ValueError(f"study.m must be >= 1, got {m}")
+    if count < 0:
+        raise ValueError(f"study.count must be >= 0, got {count}")
     rng = np.random.default_rng(seed)
     half = 1.0 / m
+    layouts = []
     for trial in range(count):
         slits = []
         attempts = 0
@@ -232,17 +228,44 @@ def random_slits_family(count, m, seed, base_cfg, box_height=0.0):
                 raise GeometryError("rejection sampling failed to place slits")
             cx = rng.uniform(-4.0, 4.0)
             cy = rng.uniform(-box_height, box_height) if box_height > 0 else 0.0
-            cand = SlitSpec(complex(cx - half, cy), complex(cx + half, cy))
-            if all(
-                segment_distance(cand.a, cand.b, s.a, s.b) >= 1e-3 for s in slits
-            ):
-                slits.append(cand)
-        yield trial, CondenserSpec(StripSlitDomain(slits)), base_cfg
+            a, b = complex(cx - half, cy), complex(cx + half, cy)
+            if all(segment_distance(a, b, *slit) >= 1e-3 for slit in slits):
+                slits.append((a, b))
+        layouts.append((trial, slits, 1.0))
+    return layouts
 
 
-STUDY_FAMILIES = {
-    "two_vertical": two_vertical_family,
-    "two_horizontal": two_horizontal_family,
-    "vertical_shift": vertical_shift_family,
-    "horizontal_shift": horizontal_shift_family,
-}
+def study_samples(study, cfg):
+    """Every (param, CondenserSpec, IterationConfig) sample of a problem
+    file's ``study`` section, built before any solve.
+
+    ``study`` names a ``family``: a ``STUDY_FAMILIES`` entry swept over
+    ``values``, or ``random_horizontal`` with ``count``, ``m``, ``seed`` and
+    ``box_height``.  An unknown family, a bad family parameter or an invalid
+    geometry raises here (``ValueError`` or ``GeometryError``), so a sweep
+    never stops midway on its input.
+    """
+    family = study.get("family")
+    if family == "random_horizontal":
+        layouts = _random_horizontal(
+            study.get("count", 10),
+            study.get("m", 10),
+            study.get("seed", 0),
+            study.get("box_height", 0.0),
+        )
+    elif family in STUDY_FAMILIES:
+        layouts = [
+            (p, *STUDY_FAMILIES[family](float(p))) for p in study.get("values", [])
+        ]
+    elif family is None:
+        raise ValueError("problem file needs a 'study' section with a 'family'")
+    else:
+        raise ValueError(f"unknown study family {family!r}")
+    return [
+        (
+            p,
+            CondenserSpec(StripSlitDomain([SlitSpec(a, b) for a, b in slits])),
+            replace(cfg, r=min(cfg.r, r_max)),
+        )
+        for p, slits, r_max in layouts
+    ]

@@ -13,13 +13,12 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .capacity import (
-    STUDY_FAMILIES,
     CondenserSpec,
     capacity,
     capacity_study,
     exact_cap_horizontal,
     exact_cap_vertical,
-    random_slits_family,
+    study_samples,
 )
 from .errors import ConvergenceError, StripcapError
 from .flow import GridSpec, horizontal_slit_map, stream_grid
@@ -48,7 +47,7 @@ SHAPES = {
 
 @dataclass
 class ProblemFile:
-    """Parsed problem description; round-trips through JSON unchanged."""
+    """Parsed problem description."""
 
     domain: StripSlitDomain
     delta: list = None
@@ -85,31 +84,23 @@ class ProblemFile:
         with open(path) as fh:
             return cls.parse(json.load(fh))
 
-    def to_dict(self):
-        out = self.domain.to_dict()
-        if self.delta is not None:
-            out["delta"] = list(self.delta)
-        if self.numerics:
-            out["numerics"] = dict(self.numerics)
-        if self.study is not None:
-            out["study"] = self.study
-        if self.flow is not None:
-            out["flow"] = self.flow
-        return out
-
     def config(self, overrides=None):
         """IterationConfig defaults, then the file, then non-None overrides."""
         given = {k: v for k, v in (overrides or {}).items() if v is not None}
         return IterationConfig(**{**self.numerics, **given})
 
 
-def _write_json(path, payload):
-    text = json.dumps(payload, sort_keys=True, indent=1)
+def _write(path, text):
+    """``text`` to the file ``path``, or to stdout when it is None or '-'."""
     if path in (None, "-"):
-        print(text)
+        print(text, end="")
     else:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+
+
+def _json(payload):
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 def _complex_pairs(arr):
@@ -136,7 +127,7 @@ def cmd_preimage(args, problem, cfg):
         },
         "numerics": asdict(cfg),
     }
-    _write_json(args.out, payload)
+    _write(args.out, _json(payload))
     return 0 if result.converged else 2
 
 
@@ -178,7 +169,7 @@ def cmd_capacity(args, problem, cfg):
         payload["exact"] = ref
         payload["relative_error"] = rel
     if args.out:
-        _write_json(args.out, payload)
+        _write(args.out, _json(payload))
     return 0
 
 
@@ -214,34 +205,12 @@ def cmd_exact(args):
 
 
 def cmd_study(args, problem, cfg):
-    spec = problem.study
-    if not spec or "family" not in spec:
-        raise ValueError("problem file needs a 'study' section with a 'family'")
-    family = spec["family"]
-    if family in STUDY_FAMILIES:
-        samples = STUDY_FAMILIES[family](spec.get("values", []), cfg)
-    elif family == "random_horizontal":
-        samples = random_slits_family(
-            count=spec.get("count", 10),
-            m=spec.get("m", 10),
-            seed=args.seed if args.seed is not None else spec.get("seed", 0),
-            base_cfg=cfg,
-            box_height=spec.get("box_height", 0.0),
-        )
-    else:
-        raise ValueError(f"unknown study family {family!r}")
-    table = capacity_study(samples)
-    lines = ["param,cap,converged,iters"]
-    for row in table:
-        lines.append(
-            f"{row.param!r},{row.cap!r},{int(row.converged)},{row.iters}"
-        )
-    text = "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        print(text, end="")
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    study = dict(problem.study or {})
+    if args.seed is not None:
+        study["seed"] = args.seed
+    table = capacity_study(study_samples(study, cfg))
+    rows = [f"{p.param!r},{p.cap!r},{int(p.converged)},{p.iters}\n" for p in table]
+    _write(args.out, "".join(["param,cap,converged,iters\n", *rows]))
     return 0
 
 

@@ -259,14 +259,6 @@ class StripSlitDomain:
             slits.append(SlitSpec(*ends))
         return cls(slits)
 
-    def to_dict(self):
-        return {
-            "slits": [
-                {"a": [s.a.real, s.a.imag], "b": [s.b.real, s.b.imag]}
-                for s in self.slits
-            ]
-        }
-
 
 @dataclass(frozen=True)
 class EllipseParams:

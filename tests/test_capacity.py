@@ -25,7 +25,7 @@ from stripcap.capacity import (
     exact_cap_horizontal,
     exact_cap_vertical,
     mu,
-    two_vertical_family,
+    study_samples,
 )
 
 FAST = IterationConfig(n=128, eps=1e-13)
@@ -60,6 +60,24 @@ class TestSpecialFunctions:
         assert exact_cap_horizontal(np.arctanh(1 / np.sqrt(2))) == pytest.approx(
             4.0, rel=1e-12
         )
+
+    def test_exact_formulas_vs_mpmath(self):
+        # cap = 4 K(r) / K(r') with r = sin s, tanh s; to full precision even
+        # where r or r' is tiny (long horizontal, short or near-wall vertical)
+        mpmath = pytest.importorskip("mpmath")
+
+        def rel_err(cap, r, rc):
+            return abs(float(cap) * mpmath.ellipk(rc**2) / (4 * mpmath.ellipk(r**2)) - 1)
+
+        with mpmath.workdps(60):
+            for s in np.geomspace(0.01, 30.0, 40):
+                t = mpmath.mpf(s)
+                err = rel_err(exact_cap_horizontal(s), mpmath.tanh(t), mpmath.sech(t))
+                assert err <= 1e-15, s
+            for s in [*np.geomspace(1e-3, 1.5, 30), 1.5707, 1.57079]:
+                t = mpmath.mpf(s)
+                err = rel_err(exact_cap_vertical(s), mpmath.sin(t), mpmath.cos(t))
+                assert err <= 1e-15, s
 
 
 class TestChargesOracle:
@@ -172,7 +190,7 @@ class TestStudies:
         base = IterationConfig(
             n=64, r=0.2, eps=1e-9, max_iter=7, solver_tol=1e-12, solver_maxit=400
         )
-        samples = list(two_vertical_family([0.1, 3.0], base))
+        samples = study_samples({"family": "two_vertical", "values": [0.1, 3.0]}, base)
         assert samples[0][2] == replace(base, r=0.05)
         assert samples[1][2] == base
 

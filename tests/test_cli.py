@@ -1,5 +1,6 @@
 """Command-line front end: parsing, outputs, exit codes, determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from stripcap.capacity import STUDY_FAMILIES
 from stripcap.cli import ProblemFile, main
 from stripcap.preimage import IterationConfig
 
@@ -33,16 +35,6 @@ SMALL = {
 
 
 class TestProblemFile:
-    def test_round_trip(self):
-        payload = {
-            "slits": [{"a": [-0.5, 0.1], "b": [0.5, 0.3]}],
-            "delta": [2.0],
-            "numerics": {"n": 128},
-            "flow": {"x": [-3, 3], "y": [-1, 1], "nx": 10, "ny": 5},
-        }
-        problem = ProblemFile.parse(payload)
-        assert ProblemFile.parse(problem.to_dict()).to_dict() == problem.to_dict()
-
     def test_defaults(self):
         problem = ProblemFile.parse({"slits": SMALL["slits"]})
         assert problem.config() == IterationConfig()
@@ -157,15 +149,51 @@ class TestCommands:
         proc = run_cli(["flow", "--input", path])
         assert proc.returncode == 1
 
-    def test_study_family(self, tmp_path):
-        payload = dict(SMALL)
-        payload["study"] = {"family": "horizontal_shift", "values": [0.0, 0.3]}
-        path = write_problem(tmp_path, payload)
-        proc = run_cli(["study", "--input", path])
+    @pytest.mark.parametrize("family", [*STUDY_FAMILIES, "random_horizontal"])
+    def test_study_family(self, tmp_path, family):
+        # two valid samples of each family (KeyError for a new one)
+        params = {
+            "two_vertical": {"values": [0.5, 1.0]},
+            "two_horizontal": {"values": [1.5, 2.0]},
+            "vertical_shift": {"values": [0.0, 0.3]},
+            "horizontal_shift": {"values": [0.0, 0.3]},
+            "random_horizontal": {"count": 2, "m": 2, "seed": 1},
+        }[family]
+        study = {"family": family, **params}
+        path = write_problem(tmp_path, dict(SMALL, study=study))
+        proc = run_cli(["study", "--input", path, "--n", "32"])
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
         assert lines[0] == "param,cap,converged,iters"
         assert len(lines) == 3
+
+    @pytest.mark.parametrize(
+        "study, message",
+        [
+            ({"family": "random_horizontal", "m": 0}, "study.m"),
+            ({"family": "random_horizontal", "m": -1}, "study.m"),
+            ({"family": "random_horizontal", "count": -1}, "study.count"),
+            ({"family": "two_vertical", "values": [0]}, "slits 0 and 1 are not disjoint"),
+        ],
+        ids=["m-0", "m-neg", "count-neg", "two-vertical-x0"],
+    )
+    def test_bad_study_exit_1(self, tmp_path, study, message):
+        path = write_problem(tmp_path, dict(SMALL, study=study))
+        proc = run_cli(["study", "--input", path])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_study_builds_every_sample_first(self, tmp_path, monkeypatch, capsys):
+        # the last value makes the slits overlap: no sample is solved
+        capmod = importlib.import_module("stripcap.capacity")
+        calls = []
+        monkeypatch.setattr(capmod, "capacity", lambda *a: calls.append(a))
+        study = {"family": "two_horizontal", "values": [2.0, 3.0, 0.5]}
+        path = write_problem(tmp_path, dict(SMALL, study=study))
+        assert main(["study", "--input", path]) == 1
+        assert calls == []
+        assert "slits 0 and 1 are not disjoint" in capsys.readouterr().err
 
     def test_study_determinism(self, tmp_path):
         payload = dict(SMALL)
