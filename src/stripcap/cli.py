@@ -7,6 +7,7 @@ Problem files are JSON; see README for the schema.  Exit codes: 0 success,
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 
@@ -91,12 +92,17 @@ class ProblemFile:
 
 
 def _write(path, text):
-    """``text`` to the file ``path``, or to stdout when it is None or '-'."""
+    """A command's document to the file ``path``, or to stdout for None or '-'."""
     if path in (None, "-"):
         print(text, end="")
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _note(text):
+    """Progress records, notes, diagnostics and warnings: stderr."""
+    print(text, file=sys.stderr)
 
 
 def _json(payload):
@@ -107,13 +113,23 @@ def _complex_pairs(arr):
     return [[z.real, z.imag] for z in np.asarray(arr).reshape(-1)]
 
 
+def _run_record(pre):
+    """How the preimage iteration behind a document converged."""
+    return {
+        "converged": pre.converged,
+        "iterations": pre.iterations,
+        "error_history": pre.error_history,
+        "gmres_history": pre.gmres_history,
+        "h_dev": pre.map.solution.h_dev.tolist(),
+        "numerics": asdict(pre.cfg),
+    }
+
+
 def cmd_preimage(args, problem, cfg):
-    lines = (lambda rec: print(json.dumps(rec, sort_keys=True))) if args.progress else None
+    lines = (lambda rec: _note(json.dumps(rec, sort_keys=True))) if args.progress else None
     result = iterate(problem.domain, cfg, progress=lines)
     payload = {
-        "converged": result.converged,
-        "error_history": result.error_history,
-        "gmres_history": result.gmres_history,
+        **_run_record(result),
         "ellipses": [
             {"z": [p.z.real, p.z.imag], "a": p.a, "theta": p.theta, "r": p.r}
             for p in result.params
@@ -125,7 +141,6 @@ def cmd_preimage(args, problem, cfg):
                 for row in result.map.zeta
             ],
         },
-        "numerics": asdict(cfg),
     }
     _write(args.out, _json(payload))
     return 0 if result.converged else 2
@@ -147,29 +162,24 @@ def _parse_exact(text):
 def cmd_capacity(args, problem, cfg):
     spec = CondenserSpec(problem.domain, problem.delta)
     if problem.delta is None:
-        print(f"# delta not given; defaulting to all ones (m={problem.domain.m})")
+        _note(f"# delta not given; defaulting to all ones (m={problem.domain.m})")
     res = capacity(spec, cfg)
-    print(f"cap = {res.cap:.15g}")
+    _note(f"cap = {res.cap:.15g}")
     payload = {
+        **_run_record(res.preimage),
         "cap": res.cap,
         "a": list(res.a),
         "c": res.c,
         "delta": list(spec.delta),
-        "converged": res.preimage.converged,
-        "iterations": res.preimage.iterations,
-        "error_history": res.preimage.error_history,
-        "gmres_history": res.preimage.gmres_history,
-        "numerics": asdict(cfg),
     }
     if args.exact:
         ref = _parse_exact(args.exact)
         rel = abs(res.cap - ref) / abs(ref)
-        print(f"exact = {ref:.15g}")
-        print(f"relative error = {rel:.3e}")
+        _note(f"exact = {ref:.15g}")
+        _note(f"relative error = {rel:.3e}")
         payload["exact"] = ref
         payload["relative_error"] = rel
-    if args.out:
-        _write(args.out, _json(payload))
+    _write(args.out, _json(payload))
     return 0
 
 
@@ -183,24 +193,43 @@ def cmd_flow(args, problem, cfg):
     pre = iterate(problem.domain, cfg)
     upsilon = horizontal_slit_map(pre)
     out_field = stream_grid(pre, upsilon, grid, **options)
+    psi = [
+        [None if math.isnan(v) else v for v in row]
+        for row in out_field.psi_values.tolist()
+    ]
     if args.json:
-        out_field.to_json(args.out or "flow.json")
+        text = _json({
+            **_run_record(pre),
+            "grid": {
+                "x": [grid.x_min, grid.x_max, grid.nx],
+                "y": [grid.y_min, grid.y_max, grid.ny],
+            },
+            "psi": psi,
+            "mask": out_field.mask.astype(int).tolist(),
+            "slit_levels": out_field.slit_levels.tolist(),
+            "failures": out_field.failures,
+        })
     else:
-        out_field.to_csv(args.out or "flow.csv")
-    if args.check:
-        spread = [
-            float(np.ptp(upsilon.zeta[j].imag)) for j in range(1, upsilon.m + 1)
+        xs, ys = (axis.tolist() for axis in grid.axes())
+        rows = [
+            f"{x!r},{y!r},{'' if v is None else repr(v)}\n"
+            for y, row in zip(ys, psi)
+            for x, v in zip(xs, row)
         ]
+        text = "".join(["x,y,psi\n", *rows])
+    if args.check:
+        spread = np.ptp(upsilon.zeta[1:].imag, axis=1).max()
         finite = np.isfinite(upsilon.zeta[0])
         wall = np.abs(np.abs(upsilon.zeta[0].imag[finite]) - HALF_PI).max()
-        print(f"slit stream spread: max {max(spread):.3e}")
-        print(f"wall deviation from +-pi/2: {wall:.3e}")
-        print(f"masked failures: {out_field.failures}")
+        _note(f"slit stream spread: max {spread:.3e}")
+        _note(f"wall deviation from +-pi/2: {wall:.3e}")
+        _note(f"masked failures: {out_field.failures}")
+    _write(args.out, text)
     return 0
 
 
 def cmd_exact(args):
-    print(f"{_parse_exact(args.formula):.15g}")
+    _write(None, f"{_parse_exact(args.formula):.15g}\n")
     return 0
 
 
@@ -209,6 +238,9 @@ def cmd_study(args, problem, cfg):
     if args.seed is not None:
         study["seed"] = args.seed
     table = capacity_study(study_samples(study, cfg))
+    for p in table:
+        if not p.converged:
+            _note(f"warning: param {p.param!r}: {p.error}")
     rows = [f"{p.param!r},{p.cap!r},{int(p.converged)},{p.iters}\n" for p in table]
     _write(args.out, "".join(["param,cap,converged,iters\n", *rows]))
     return 0
@@ -223,7 +255,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--input", required=True, help="problem JSON file")
-        p.add_argument("--out", help="output file (default: stdout / cwd)")
+        p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--n", type=int, help="nodes per boundary component")
         p.add_argument("--r", type=float, help="ellipse aspect ratio")
         p.add_argument("--eps", type=float, help="outer stopping tolerance")
@@ -231,7 +263,7 @@ def build_parser():
         p.add_argument(
             "--emit-config",
             action="store_true",
-            help="print fully-resolved numerics and exit",
+            help="write fully-resolved numerics and exit",
         )
 
     p = sub.add_parser("preimage", help="compute the smooth preimage domain")
@@ -269,7 +301,7 @@ def run(args):
     overrides = {k: getattr(args, k) for k in ("n", "r", "eps", "max_iter")}
     cfg = problem.config(overrides)
     if args.emit_config:
-        print(json.dumps(asdict(cfg), sort_keys=True))
+        _write(args.out, json.dumps(asdict(cfg), sort_keys=True) + "\n")
         return 0
     return args.func(args, problem, cfg)
 
@@ -280,10 +312,10 @@ def main(argv=None):
     try:
         return run(args)
     except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 2
     except (StripcapError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _note(f"error: {exc}")
         return 1
 
 

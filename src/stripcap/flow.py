@@ -6,7 +6,6 @@ composed with the inverse of the original map.  Obstacles and channel walls
 then sit on level curves of the imaginary part.
 """
 
-import json
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -47,35 +46,13 @@ class GridSpec:
 class FlowField:
     grid: GridSpec
     psi_values: np.ndarray  # shape (ny, nx), nan where masked
-    mask: np.ndarray  # True where the stream function is defined
     slit_levels: np.ndarray
     failures: int = 0
 
-    def to_csv(self, path):
-        xs, ys = self.grid.axes()
-        with open(path, "w") as fh:
-            fh.write("x,y,psi\n")
-            for iy, y in enumerate(ys):
-                for ix, x in enumerate(xs):
-                    v = self.psi_values[iy, ix]
-                    fh.write(f"{x!r},{y!r},{'' if np.isnan(v) else repr(v)}\n")
-
-    def to_json(self, path):
-        payload = {
-            "grid": {
-                "x": [self.grid.x_min, self.grid.x_max, self.grid.nx],
-                "y": [self.grid.y_min, self.grid.y_max, self.grid.ny],
-            },
-            "psi": [
-                [None if np.isnan(v) else v for v in row]
-                for row in self.psi_values.tolist()
-            ],
-            "mask": self.mask.astype(int).tolist(),
-            "slit_levels": list(self.slit_levels),
-            "failures": self.failures,
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1)
+    @property
+    def mask(self):
+        """True where the stream function is defined."""
+        return np.isfinite(self.psi_values)
 
 
 def horizontal_slit_map(pre):
@@ -132,13 +109,12 @@ def stream_grid(pre, upsilon, grid, exclusion=0.02):
         mask &= point_segment_distance(Z, s.a, s.b) > exclusion
     psi_values = np.full(Z.shape, np.nan)
     psi_values[mask] = complex_potential(pre, upsilon, Z[mask]).imag
-    failures = int((mask & ~np.isfinite(psi_values)).sum())
-    mask &= np.isfinite(psi_values)
-    psi_values[~mask] = np.nan
+    unresolved = ~np.isfinite(psi_values)
+    failures = int((mask & unresolved).sum())
+    psi_values[unresolved] = np.nan
     return FlowField(
         grid=grid,
         psi_values=psi_values,
-        mask=mask,
         slit_levels=slit_stream_levels(upsilon),
         failures=failures,
     )

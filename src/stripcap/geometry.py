@@ -315,11 +315,6 @@ class BoundaryParametrization:
         self.eta_dot.setflags(write=False)
         self.m = eta.shape[0] - 1
         self.n = eta.shape[1]
-        self.t = 2.0 * np.pi * np.arange(self.n) / self.n
-
-    @property
-    def total(self):
-        return (self.m + 1) * self.n
 
     @property
     def flat_eta(self):
@@ -328,10 +323,6 @@ class BoundaryParametrization:
     @property
     def flat_eta_dot(self):
         return self.eta_dot.reshape(-1)
-
-    @property
-    def flat_t(self):
-        return np.tile(self.t, self.m + 1)
 
     def split(self, flat_values):
         """View a flat length-(m+1)n vector as per-component rows."""

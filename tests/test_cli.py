@@ -2,22 +2,31 @@
 
 import importlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stripcap
 from stripcap.capacity import STUDY_FAMILIES
 from stripcap.cli import ProblemFile, main
 from stripcap.preimage import IterationConfig
 
+# absolute, so that a run from another working directory imports this package
+SRC = str(Path(stripcap.__file__).resolve().parents[1])
 
-def run_cli(argv):
+
+def run_cli(argv, cwd=None):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "stripcap.cli", *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc
 
@@ -73,6 +82,13 @@ class TestCommands:
         assert cfg["n"] == 32  # CLI override wins
         assert cfg["eps"] == 1e-12  # file value wins over default
 
+    def test_emit_config_follows_out(self, tmp_path):
+        path = write_problem(tmp_path, SMALL)
+        out = tmp_path / "numerics.json"
+        proc = run_cli(["capacity", "--input", path, "--emit-config", "--out", str(out)])
+        assert proc.returncode == 0 and proc.stdout == ""
+        assert json.loads(out.read_text())["n"] == 64
+
     def test_preimage_success(self, tmp_path):
         path = write_problem(tmp_path, SMALL)
         out = tmp_path / "result.json"
@@ -96,22 +112,22 @@ class TestCommands:
             ["preimage", "--input", path, "--progress", "--out", str(tmp_path / "r.json")]
         )
         assert proc.returncode == 0
-        lines = [json.loads(l) for l in proc.stdout.strip().splitlines() if l]
+        lines = [json.loads(l) for l in proc.stderr.strip().splitlines() if l]
         assert lines and all({"k", "error"} <= set(rec) for rec in lines)
 
     def test_capacity_with_exact(self, tmp_path):
         path = write_problem(tmp_path, SMALL)
         proc = run_cli(["capacity", "--input", path, "--exact", "vertical:0.5"])
         assert proc.returncode == 0
-        assert "cap = " in proc.stdout
-        rel = float(proc.stdout.split("relative error = ")[1].split()[0])
+        assert "cap = " in proc.stderr
+        rel = float(proc.stderr.split("relative error = ")[1].split()[0])
         assert rel < 1e-6  # n = 64 smoke run; accuracy is tested elsewhere
 
     def test_capacity_default_delta_noted(self, tmp_path):
         path = write_problem(tmp_path, SMALL)
         proc = run_cli(["capacity", "--input", path])
         assert proc.returncode == 0
-        assert "defaulting to all ones" in proc.stdout
+        assert "defaulting to all ones" in proc.stderr
 
     def test_flow_csv_and_check(self, tmp_path):
         payload = dict(SMALL)
@@ -120,10 +136,29 @@ class TestCommands:
         out = tmp_path / "field.csv"
         proc = run_cli(["flow", "--input", path, "--out", str(out), "--check"])
         assert proc.returncode == 0
-        assert "slit stream spread" in proc.stdout
+        assert "slit stream spread" in proc.stderr
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y,psi"
         assert len(lines) == 1 + 11 * 7
+
+    def test_flow_csv_and_json_documents(self, tmp_path):
+        flow = {"x": [-2.0, 2.0], "y": [-1.0, 1.0], "nx": 9, "ny": 5}
+        payload = dict(SMALL, flow=flow)
+        path = write_problem(tmp_path, payload)
+        csv = run_cli(["flow", "--input", path])
+        assert csv.returncode == 0
+        lines = csv.stdout.strip().splitlines()
+        assert lines[0] == "x,y,psi"
+        assert len(lines) == 1 + 9 * 5
+        jsn = run_cli(["flow", "--input", path, "--json"])
+        assert jsn.returncode == 0
+        doc = json.loads(jsn.stdout)
+        assert doc["grid"]["x"] == [-2.0, 2.0, 9]
+        flat = [v for row in doc["psi"] for v in row]
+        assert len(flat) == 45
+        masked = sum(1 - v for row in doc["mask"] for v in row)
+        assert 0 < sum(v is None for v in flat) == masked
+        assert [line.endswith(",") for line in lines[1:]] == [v is None for v in flat]
 
     def test_flow_nonconvergence_exit_2(self, tmp_path):
         payload = dict(SMALL, flow={"nx": 5, "ny": 5})
@@ -148,6 +183,56 @@ class TestCommands:
         path = write_problem(tmp_path, payload)
         proc = run_cli(["flow", "--input", path])
         assert proc.returncode == 1
+
+    # one case per document: (arguments, kind of document, a note on stderr)
+    DOCUMENTS = {
+        "preimage-progress": (["preimage", "--progress"], "json", '"k": 1'),
+        "capacity-exact": (
+            ["capacity", "--exact", "vertical:0.5"], "json", "relative error"
+        ),
+        "flow-csv-check": (["flow", "--check"], "csv", "slit stream spread"),
+        "flow-json": (["flow", "--json"], "json", ""),
+        "study": (["study"], "csv", ""),
+    }
+
+    @pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["no-out", "out-dash"])
+    @pytest.mark.parametrize("case", DOCUMENTS)
+    def test_stdout_is_one_document(self, tmp_path, case, out):
+        argv, kind, note = self.DOCUMENTS[case]
+        study = {"family": "two_vertical", "values": [0.5, 1.0]}
+        flow = {"x": [-2.0, 2.0], "y": [-1.0, 1.0], "nx": 9, "ny": 5}
+        path = write_problem(tmp_path, dict(SMALL, study=study, flow=flow))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        proc = run_cli([*argv, "--input", path, *out], cwd=cwd)
+        assert proc.returncode == 0, proc.stderr
+        if kind == "json":
+            assert isinstance(json.loads(proc.stdout), dict)
+        else:
+            header, *rows = proc.stdout.splitlines()
+            assert rows and header.count(",") >= 2
+            for row in rows:
+                cells = row.split(",")
+                assert len(cells) == header.count(",") + 1
+                for cell in filter(None, cells):
+                    float(cell)  # raises on anything but a number
+        assert note in proc.stderr
+        assert list(cwd.iterdir()) == []
+
+    def test_study_failures_warned(self, tmp_path):
+        # one warning per converged=0 row, in table order
+        study = dict(family="random_horizontal", m=3, count=3, seed=4, box_height=0.5)
+        path = write_problem(tmp_path, {"slits": SMALL["slits"], "study": study})
+        proc = run_cli(["study", "--input", path, "--n", "64"])
+        assert proc.returncode == 0
+        rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
+        failed = [param for param, _, converged, _ in rows if converged == "0"]
+        warnings = proc.stderr.strip().splitlines()
+        assert [w.split(": ")[:2] for w in warnings] == [
+            ["warning", f"param {p}"] for p in failed
+        ]
+        assert "did not reach 1e-14" in warnings[0]
+        assert "preimage curves 2 and 3 intersect" in warnings[1]
 
     @pytest.mark.parametrize("family", [*STUDY_FAMILIES, "random_horizontal"])
     def test_study_family(self, tmp_path, family):
@@ -279,7 +364,7 @@ class TestCommands:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: potential level delta[0] is not finite")
         assert len(proc.stderr.strip().splitlines()) == 1
-        assert "cap =" not in proc.stdout
+        assert "cap =" not in proc.stderr
 
     def test_main_callable_in_process(self, tmp_path, capsys):
         # main() is also the programmatic entry point

@@ -1,6 +1,5 @@
 """Uniform potential flow past slit obstacles."""
 
-import json
 import warnings
 
 import numpy as np
@@ -171,24 +170,6 @@ class TestStreamGrid:
         grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 5, 5)
         with pytest.raises(ValueError, match="exclusion"):
             stream_grid(one_slit_pre, ups, grid, exclusion=value)
-
-    def test_io_round_trip(self, one_slit_pre, tmp_path):
-        ups = horizontal_slit_map(one_slit_pre)
-        grid = GridSpec(-2.0, 2.0, -1.0, 1.0, 9, 5)
-        field = stream_grid(one_slit_pre, ups, grid)
-        csv = tmp_path / "field.csv"
-        field.to_csv(csv)
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "x,y,psi"
-        assert len(lines) == 1 + 9 * 5
-        jsn = tmp_path / "field.json"
-        field.to_json(jsn)
-        payload = json.loads(jsn.read_text())
-        assert payload["grid"]["x"] == [-2.0, 2.0, 9]
-        flat = [v for row in payload["psi"] for v in row]
-        assert len(flat) == 45
-        n_none = sum(v is None for v in flat)
-        assert n_none == int((~field.mask).sum())
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -230,7 +230,7 @@ class TestPreimageBoundary:
     def test_split_round_trip(self):
         params = [sc.EllipseParams(z=0.4j, a=0.6, theta=0.2, r=0.2)]
         bp = sc.build_preimage_boundary(params, 64)
-        flat = np.arange(bp.total, dtype=float)
+        flat = np.arange(bp.eta.size, dtype=float)
         assert np.array_equal(bp.split(flat).reshape(-1), flat)
 
     def test_overlapping_ellipses_rejected(self):

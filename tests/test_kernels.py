@@ -22,6 +22,11 @@ def two_component_bp(n=128):
     return sc.build_preimage_boundary(params, n)
 
 
+def flat_nodes(bp):
+    """The parameter t of every node, component after component."""
+    return np.tile(2 * np.pi * np.arange(bp.n) / bp.n, bp.m + 1)
+
+
 class TestClosedForms:
     def test_circle_N_is_constant(self):
         bp = circle_bp()
@@ -59,7 +64,7 @@ class TestDiagonal:
             )
             return psi_inv_deriv(hat) * hat_dot
 
-        t0 = bp.t[17]
+        t0 = 2 * np.pi * 17 / bp.n
         alpha = ks.alpha
 
         def A_of(t):
@@ -99,7 +104,7 @@ class TestConjugation:
         n = 256
         bp = circle_bp(n)
         ks = KernelSet(bp, theta=[np.pi / 2])
-        t = bp.t
+        t = 2 * np.pi * np.arange(n) / n
         gamma = np.exp(np.cos(t)) * np.sin(t + 0.3)
         got = ks.apply_M(gamma)
         h = 2 * np.pi / n
@@ -121,7 +126,7 @@ class TestConjugation:
         theta = np.array([0.0, 0.4])
         ks = KernelSet(bp, theta=theta)
         alpha = ks.alpha
-        t = bp.t
+        t = 2 * np.pi * np.arange(n) / n
         h = 2 * np.pi / n
         t_off = t + 0.5 * h
 
@@ -143,7 +148,7 @@ class TestConjugation:
         eta_off, eta_dot_off = boundary(t_off)
         phase = np.exp(1j * (0.5 * np.pi - theta))
         A_off = phase[:, None] * (eta_off - alpha)
-        gamma = np.cos(bp.flat_t) + 0.5 * np.sin(2 * bp.flat_t)
+        gamma = np.cos(np.tile(t, 2)) + 0.5 * np.sin(2 * np.tile(t, 2))
         gamma_off = np.cos(np.tile(t_off, 2)) + 0.5 * np.sin(
             2 * np.tile(t_off, 2)
         )
@@ -152,8 +157,8 @@ class TestConjugation:
         flat_A_off = A_off.reshape(-1)
         A_s = ks.A.reshape(-1)
         eta_s = bp.flat_eta
-        brute = np.empty(bp.total)
-        for i in range(bp.total):
+        brute = np.empty(bp.eta.size)
+        for i in range(bp.eta.size):
             kern = (
                 A_s[i] / flat_A_off * flat_dot_off / (flat_eta_off - eta_s[i])
             ).real / np.pi
@@ -169,11 +174,11 @@ class TestOperators:
         stored diagonal (rules out indexing/transposition mistakes)."""
         bp = two_component_bp(64)
         ks = KernelSet(bp, theta=[np.pi / 2, 0.1])
-        x = np.cos(2 * bp.flat_t)
+        x = np.cos(2 * flat_nodes(bp))
         eta = bp.flat_eta
         dot = bp.flat_eta_dot
         A = ks.A.reshape(-1)
-        ntot = bp.total
+        ntot = bp.eta.size
         Nref = np.empty((ntot, ntot))
         for i in range(ntot):
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -191,7 +196,7 @@ class TestAssembly:
         ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]))
         assert np.all(np.isfinite(ks.N))
         assert np.all(np.isfinite(ks.M1))
-        x = np.cos(3 * bp.flat_t)
+        x = np.cos(3 * flat_nodes(bp))
         direct = x - ks.N @ x * (2 * np.pi / 64)
         assert np.abs(ks.apply_I_minus_N(x) - direct).max() < 1e-12
 
@@ -201,9 +206,9 @@ class TestAssembly:
         bp = two_component_bp(64)
         ks = KernelSet(bp, theta=[np.pi / 2, 0.1])
         eta, dot, A = bp.flat_eta, bp.flat_eta_dot, ks.A.reshape(-1)
-        t, comp = bp.flat_t, np.arange(bp.total) // bp.n
+        t, comp = flat_nodes(bp), np.arange(bp.eta.size) // bp.n
         for i in (0, 5, 63, 64, 100):
-            off = np.arange(bp.total) != i
+            off = np.arange(bp.eta.size) != i
             ref = (A[i] / A[off] * dot[off] / (eta[off] - eta[i])).real / np.pi
             same = comp[off] == comp[i]
             ref[same] += 0.5 / np.pi / np.tan(0.5 * (t[i] - t[off][same]))
