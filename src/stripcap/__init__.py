@@ -28,7 +28,6 @@ from .preimage import IterationConfig, PreimageResult, initialize, iterate
 from .solver import BieSolution, cauchy_eval, solve_bie
 from .stripmap import (
     MapData,
-    SlitImage,
     build_map,
     extract_slit_images,
     inverse_map,
@@ -57,7 +56,6 @@ __all__ = [
     "MapData",
     "OverlapError",
     "PreimageResult",
-    "SlitImage",
     "SlitSpec",
     "StripSlitDomain",
     "StripcapError",

@@ -11,6 +11,7 @@ Exact references for single-slit plates come from the Grotzsch ring modulus
 mu(r) built on arithmetic-geometric-mean elliptic integrals.
 """
 
+import inspect
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -193,22 +194,12 @@ def capacity_study(samples):
     return table
 
 
-# Example families: name -> parameter p -> (slit endpoint pairs, largest
-# ellipse aspect ratio r).  two_vertical clamps r to x/2 so that the two
-# holes stay apart as the slits close in.
-STUDY_FAMILIES = {
-    # E = (-x + [-i, i]) u (x + [-i, i])
-    "two_vertical": lambda x: ([(-x - 1j, -x + 1j), (x - 1j, x + 1j)], 0.5 * x),
-    # E = (-x + [-1, 1]) u (x + [-1, 1]), x > 1
-    "two_horizontal": lambda x: ([(-x - 1.0, -x + 1.0), (x - 1.0, x + 1.0)], 1.0),
-    # E = i*s + [-i, i]
-    "vertical_shift": lambda s: ([(1j * s - 1j, 1j * s + 1j)], 1.0),
-    # E = i*s + [-1, 1]
-    "horizontal_shift": lambda s: ([(1j * s - 1.0, 1j * s + 1.0)], 1.0),
-}
+def _sweep(layout):
+    """A family swept over ``values``: the sample (p, *layout(p)) per value p."""
+    return lambda values: [(p, *layout(float(p))) for p in values]
 
 
-def _random_horizontal(count, m, seed, box_height):
+def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
     """``count`` layouts of m horizontal slits of length 2/m, centers in
     [-4, 4] (and, when box_height > 0, imaginary parts in [-box_height,
     box_height]); rejection sampling keeps pairwise slit distance >= 1e-3."""
@@ -235,37 +226,45 @@ def _random_horizontal(count, m, seed, box_height):
     return layouts
 
 
+# name -> builder of (param, slit endpoint pairs, largest ellipse ratio r)
+# samples; its parameters are the keys of a study section.  two_vertical
+# clamps r to x/2 so that the holes stay apart.
+STUDY_FAMILIES = {
+    # E = (-x + [-i, i]) u (x + [-i, i])
+    "two_vertical": _sweep(lambda x: ([(-x - 1j, -x + 1j), (x - 1j, x + 1j)], 0.5 * x)),
+    # E = (-x + [-1, 1]) u (x + [-1, 1]), x > 1
+    "two_horizontal": _sweep(lambda x: ([(-x - 1, -x + 1), (x - 1, x + 1)], 1.0)),
+    # E = i*s + [-i, i]
+    "vertical_shift": _sweep(lambda s: ([(1j * s - 1j, 1j * s + 1j)], 1.0)),
+    # E = i*s + [-1, 1]
+    "horizontal_shift": _sweep(lambda s: ([(1j * s - 1.0, 1j * s + 1.0)], 1.0)),
+    "random_horizontal": _random_horizontal,
+}
+
+
 def study_samples(study, cfg):
     """Every (param, CondenserSpec, IterationConfig) sample of a problem
-    file's ``study`` section, built before any solve.
-
-    ``study`` names a ``family``: a ``STUDY_FAMILIES`` entry swept over
-    ``values``, or ``random_horizontal`` with ``count``, ``m``, ``seed`` and
-    ``box_height``.  An unknown family, a bad family parameter or an invalid
-    geometry raises here (``ValueError`` or ``GeometryError``), so a sweep
-    never stops midway on its input.
-    """
-    family = study.get("family")
-    if family == "random_horizontal":
-        layouts = _random_horizontal(
-            study.get("count", 10),
-            study.get("m", 10),
-            study.get("seed", 0),
-            study.get("box_height", 0.0),
-        )
-    elif family in STUDY_FAMILIES:
-        layouts = [
-            (p, *STUDY_FAMILIES[family](float(p))) for p in study.get("values", [])
-        ]
-    elif family is None:
-        raise ValueError("problem file needs a 'study' section with a 'family'")
-    else:
-        raise ValueError(f"unknown study family {family!r}")
+    file's ``study`` section, built before any solve.  Its ``family`` names a
+    ``STUDY_FAMILIES`` builder and its other keys are that builder's
+    parameters.  An unknown family, a missing, stray or bad parameter, or an
+    invalid geometry raises here, so a sweep never stops midway."""
+    keys = dict(study)
+    family = keys.pop("family", None)
+    builder = STUDY_FAMILIES.get(family)
+    if builder is None:
+        known = ", ".join(STUDY_FAMILIES)
+        raise ValueError(f"study.family must be one of {known}; got {family!r}")
+    signature = inspect.signature(builder)
+    try:
+        signature.bind_partial(**keys)  # a stray key, before a missing one
+        signature.bind(**keys)
+    except TypeError as exc:
+        raise ValueError(f"study family {family}{signature}: {exc}") from None
     return [
         (
             p,
             CondenserSpec(StripSlitDomain([SlitSpec(a, b) for a, b in slits])),
             replace(cfg, r=min(cfg.r, r_max)),
         )
-        for p, slits, r_max in layouts
+        for p, slits, r_max in builder(**keys)
     ]

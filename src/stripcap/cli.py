@@ -110,7 +110,9 @@ def _json(payload):
 
 
 def _complex_pairs(arr):
-    return [[z.real, z.imag] for z in np.asarray(arr).reshape(-1)]
+    """[re, im] per entry; null for a non-finite one (the strip's ends)."""
+    values = np.asarray(arr).reshape(-1)
+    return [[z.real, z.imag] if np.isfinite(z) else None for z in values]
 
 
 def _run_record(pre):
@@ -136,10 +138,7 @@ def cmd_preimage(args, problem, cfg):
         ],
         "boundary": {
             "eta": [_complex_pairs(row) for row in result.map.bp.eta],
-            "zeta": [
-                _complex_pairs(np.nan_to_num(row, posinf=0.0, neginf=0.0))
-                for row in result.map.zeta
-            ],
+            "zeta": [_complex_pairs(row) for row in result.map.zeta],
         },
     }
     _write(args.out, _json(payload))

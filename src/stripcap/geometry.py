@@ -351,8 +351,11 @@ def winding_number(curve, w):
     wv = np.atleast_1d(w_in)
     res = np.empty(wv.shape[0], dtype=int)
     for rows, z in pairwise_differences(curve, wv):
-        rot = np.roll(z, -1, axis=1) / z
-        res[rows] = np.rint(np.angle(rot).sum(axis=1) / (2.0 * np.pi))
+        # the angle of z_{k+1} conj(z_k) is that of z_{k+1}/z_k, with no
+        # division by a node that coincides with a point; z is a fresh chunk
+        turn = np.roll(z, -1, axis=1)
+        turn *= np.conjugate(z, out=z)
+        res[rows] = np.rint(np.angle(turn).sum(axis=1) / (2.0 * np.pi))
     return int(res[0]) if scalar else res
 
 

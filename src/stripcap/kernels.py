@@ -31,20 +31,14 @@ def default_alpha(bp):
     that lies inside G and is farthest from all boundary curves (and more
     than 1e-12 from every node)."""
     candidates = np.tanh(np.arange(-3.0, 3.01, 0.5) / 2.0).astype(complex)
-    flat = bp.flat_eta
-    best, best_d = None, 1e-12
-    for cand in candidates:
-        ok = winding_number(bp.eta[0], cand) == 1 and all(
-            winding_number(bp.eta[j], cand) == 0 for j in range(1, bp.m + 1)
-        )
-        if not ok:
-            continue
-        d = np.abs(flat - cand).min()
-        if d > best_d:
-            best, best_d = cand, d
-    if best is None:
+    winding = np.array([winding_number(curve, candidates) for curve in bp.eta])
+    inside = (winding[0] == 1) & (winding[1:] == 0).all(axis=0)
+    dist = np.abs(bp.flat_eta[None, :] - candidates[:, None]).min(axis=1)
+    dist[~inside] = 0.0
+    best = np.argmax(dist)  # the first of equally distant candidates
+    if dist[best] <= 1e-12:
         raise GeometryError("no candidate base point lies inside the domain")
-    return complex(best)
+    return complex(candidates[best])
 
 
 def _assemble(eta, eta_dot, A, diag, n):

@@ -107,9 +107,7 @@ def iterate(omega, cfg=IterationConfig(), params=None, progress=None):
         t0 = time.perf_counter()
         bp = build_preimage_boundary(params, cfg.n)
         md = build_map(bp, theta, tol=cfg.solver_tol, maxit=cfg.solver_maxit)
-        images = extract_slit_images(md)
-        centers = np.array([im.center for im in images])
-        lengths = np.array([im.length for im in images])
+        centers, lengths = extract_slit_images(md)
         err = float(
             (np.abs(centers - targets_c) + np.abs(lengths - targets_l)).sum()
             / (2.0 * m)

@@ -16,8 +16,6 @@ Phi(i) = i pi/2; since i is a boundary node of the outer circle, f(i) is
 read off the solved boundary data directly.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import GeometryError
@@ -32,15 +30,6 @@ from .geometry import (
 )
 from .kernels import KernelSet
 from .solver import DEFAULT_MAXIT, DEFAULT_TOL, cauchy_eval, solve_bie
-
-
-@dataclass(frozen=True)
-class SlitImage:
-    """Center, length, and inherited angle of one mapped slit."""
-
-    center: complex
-    length: float
-    theta: float
 
 
 def _near_poles(w):
@@ -136,14 +125,16 @@ def build_map(bp, theta, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
 
 
 def extract_slit_images(md):
-    """Center and length of each mapped slit from the boundary image.
+    """Centers and lengths of the mapped slits, as two length-m arrays, from
+    the boundary image.
 
     Projects u(t) = Re[e^{-i theta_j} zeta_j(t)] and locates both extrema of
     its trigonometric interpolant by Newton refinement, so the extracted
     parameters are spectrally accurate (grid-level refinement would cap the
     preimage iteration around 1e-9).
     """
-    images = []
+    centers = np.empty(md.m, dtype=complex)
+    lengths = np.empty(md.m)
     for j in range(1, md.m + 1):
         rot = np.exp(-1j * md.theta[j])
         u = (rot * md.zeta[j]).real
@@ -154,10 +145,9 @@ def extract_slit_images(md):
             raise GeometryError(f"slit image {j} is degenerate")
         z_hi = complex(trig_interp(md.zeta[j], [t_hi])[0])
         z_lo = complex(trig_interp(md.zeta[j], [t_lo])[0])
-        images.append(
-            SlitImage(center=0.5 * (z_hi + z_lo), length=float(length), theta=md.theta[j])
-        )
-    return images
+        centers[j - 1] = 0.5 * (z_hi + z_lo)
+        lengths[j - 1] = length
+    return centers, lengths
 
 
 def inverse_map(md, points):

@@ -178,12 +178,24 @@ class TestCapacity:
 
 class TestStudies:
     def test_families_registered(self):
-        assert set(STUDY_FAMILIES) >= {
+        assert set(STUDY_FAMILIES) == {
             "two_vertical",
             "two_horizontal",
             "vertical_shift",
             "horizontal_shift",
+            "random_horizontal",
         }
+
+    def test_random_horizontal_defaults(self):
+        # count=10, m=10, seed=0 and box_height=0 come from the builder
+        samples = study_samples({"family": "random_horizontal"}, FAST)
+        assert [p for p, _, _ in samples] == list(range(10))
+        for _, spec, cfg in samples:
+            assert spec.domain.m == 10 and cfg == FAST
+            assert all(s.c.imag == 0.0 for s in spec.domain.slits)
+        again = study_samples({"family": "random_horizontal", "seed": 0}, FAST)
+        layouts = lambda rows: [spec.domain.slits for _, spec, _ in rows]
+        assert layouts(again) == layouts(samples)
 
     def test_vertical_family_clamps_r(self):
         # only r changes; every other setting of the base config is kept

@@ -100,6 +100,28 @@ class TestCommands:
         assert len(payload["ellipses"]) == 1
         assert len(payload["boundary"]["eta"]) == 2
 
+    def test_preimage_strip_ends_are_null(self, tmp_path):
+        # the outer nodes at eta = +-1 map to the strip's ends +-infinity
+        two_slits = {
+            "slits": [
+                {"a": [-1.5, -0.3], "b": [-0.5, -0.3]},
+                {"a": [0.0, 0.5], "b": [1.0, 0.5]},
+            ],
+            "numerics": {"n": 64},
+        }
+        path = write_problem(tmp_path, two_slits)
+        proc = run_cli(["preimage", "--input", path])
+        assert proc.returncode == 0, proc.stderr
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        zeta = json.loads(proc.stdout, parse_constant=reject)["boundary"]["zeta"]
+        nulls = [
+            (j, k) for j, row in enumerate(zeta) for k, z in enumerate(row) if z is None
+        ]
+        assert nulls == [(0, 0), (0, 32)]
+
     def test_preimage_nonconvergence_exit_2(self, tmp_path):
         bad = dict(SMALL, numerics={"n": 64, "eps": 1e-30, "max_iter": 2})
         path = write_problem(tmp_path, bad)
@@ -234,7 +256,7 @@ class TestCommands:
         assert "did not reach 1e-14" in warnings[0]
         assert "preimage curves 2 and 3 intersect" in warnings[1]
 
-    @pytest.mark.parametrize("family", [*STUDY_FAMILIES, "random_horizontal"])
+    @pytest.mark.parametrize("family", sorted(STUDY_FAMILIES))
     def test_study_family(self, tmp_path, family):
         # two valid samples of each family (KeyError for a new one)
         params = {
@@ -253,21 +275,42 @@ class TestCommands:
         assert len(lines) == 3
 
     @pytest.mark.parametrize(
-        "study, message",
+        "study, flags, message",
         [
-            ({"family": "random_horizontal", "m": 0}, "study.m"),
-            ({"family": "random_horizontal", "m": -1}, "study.m"),
-            ({"family": "random_horizontal", "count": -1}, "study.count"),
-            ({"family": "two_vertical", "values": [0]}, "slits 0 and 1 are not disjoint"),
+            ({"family": "random_horizontal", "m": 0}, [], "study.m"),
+            ({"family": "random_horizontal", "m": -1}, [], "study.m"),
+            ({"family": "random_horizontal", "count": -1}, [], "study.count"),
+            (
+                {"family": "two_vertical", "values": [0]}, [],
+                "slits 0 and 1 are not disjoint",
+            ),
+            ({"family": "two_vertical", "value": [1.0]}, [], "'value'"),
+            ({"family": "two_vertical"}, [], "'values'"),
+            ({"family": "two_vertical", "values": [1.0], "count": 3}, [], "'count'"),
+            ({"family": "random_horizontal", "cuont": 1}, [], "'cuont'"),
+            ({"family": "two_vertical", "values": [1.0]}, ["--seed", "7"], "'seed'"),
+            ({"family": "three_vertical", "values": [1.0]}, [], "study.family"),
+            ({"values": [1.0]}, [], "study.family"),
         ],
-        ids=["m-0", "m-neg", "count-neg", "two-vertical-x0"],
+        ids=[
+            "m-0", "m-neg", "count-neg", "two-vertical-x0", "value", "no-values",
+            "count-on-sweep", "cuont", "seed-on-sweep", "unknown-family", "no-family",
+        ],
     )
-    def test_bad_study_exit_1(self, tmp_path, study, message):
+    def test_bad_study_exit_1(
+        self, tmp_path, monkeypatch, capsys, study, flags, message
+    ):
+        # one named error and no capacity solved
+        capmod = importlib.import_module("stripcap.capacity")
+        calls = []
+        monkeypatch.setattr(capmod, "capacity", lambda *a: calls.append(a))
         path = write_problem(tmp_path, dict(SMALL, study=study))
-        proc = run_cli(["study", "--input", path])
-        assert proc.returncode == 1
-        assert proc.stderr.startswith("error: ") and message in proc.stderr
-        assert len(proc.stderr.strip().splitlines()) == 1
+        assert main(["study", "--input", path, *flags]) == 1
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_study_builds_every_sample_first(self, tmp_path, monkeypatch, capsys):
         # the last value makes the slits overlap: no sample is solved

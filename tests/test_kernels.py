@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -251,6 +252,19 @@ class TestConstruction:
         )
         with pytest.raises(sc.GeometryError, match="base point"):
             KernelSet(bp, [np.pi / 2, np.pi / 2])
+
+    def test_node_on_candidate_emits_no_warning(self):
+        # the pair [-2.1, -0.1], [0.1, 2.1] at r=0.2 puts an ellipse node at
+        # 2.0, so a boundary node sits exactly on the candidate tanh(1.0);
+        # the winding number about it must not divide by zero
+        dom = sc.StripSlitDomain([sc.SlitSpec(-2.1, -0.1), sc.SlitSpec(0.1, 2.1)])
+        cfg = sc.IterationConfig(n=64, r=0.2)
+        bp = sc.build_preimage_boundary(sc.initialize(dom, cfg), cfg.n)
+        assert np.abs(bp.flat_eta - np.tanh(1.0)).min() == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ks = KernelSet(bp, [np.pi / 2] * 3)
+        assert ks.alpha != np.tanh(1.0)
 
     def test_theta_shape_validated(self):
         bp = two_component_bp(64)
