@@ -20,7 +20,7 @@ from .errors import GeometryError, StripcapError
 from .geometry import HALF_PI, SlitSpec, StripSlitDomain, psi_inv, segment_distance
 from .kernels import KernelSet
 from .preimage import IterationConfig, iterate
-from .solver import DEFAULT_MAXIT, DEFAULT_TOL, solve_bie
+from .solver import solve_bie
 
 # ---------------------------------------------------------------------------
 # elliptic integrals and exact formulas
@@ -106,7 +106,7 @@ class CapacityResult:
     preimage: object
 
 
-def charges_from_boundary(bp, alphas, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def charges_from_boundary(bp, alphas):
     """Plate charges on a fixed smooth geometry (step 2).
 
     ``alphas`` holds one point strictly inside each hole.  For each plate k
@@ -125,7 +125,7 @@ def charges_from_boundary(bp, alphas, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
     H = np.empty((m + 1, m))
     for k in range(m):
         gamma_k = np.log(np.abs(bp.flat_eta - alphas[k]))
-        sol = solve_bie(ks, gamma_k, tol=tol, maxit=maxit)
+        sol = solve_bie(ks, gamma_k)
         H[:, k] = sol.h
     system = np.hstack([H, np.ones((m + 1, 1))])
     rhs = np.concatenate([[0.0], np.ones(m)])
@@ -143,9 +143,7 @@ def capacity(spec, cfg=IterationConfig()):
     bp = pre.map.bp
     # a point inside hole k: the image of the ellipse center
     alphas = [psi_inv(p.z) for p in pre.params]
-    a, c = charges_from_boundary(
-        bp, alphas, tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit
-    )
+    a, c = charges_from_boundary(bp, alphas)
     cap = 2.0 * np.pi * float(np.dot(spec.delta, a))
     return CapacityResult(cap=cap, a=a, c=c, preimage=pre)
 

@@ -56,15 +56,12 @@ class FlowField:
 
 
 def horizontal_slit_map(pre):
-    """Second canonical map from the converged preimage: all angles zero,
-    solved with the run's own solver settings.  Raises ConvergenceError when
-    the preimage iteration missed its tolerance."""
+    """Second canonical map from the converged preimage: all angles zero.
+    Raises ConvergenceError when the preimage iteration missed its
+    tolerance."""
     pre.require_converged()
     md = pre.map
-    theta = np.zeros(md.bp.m + 1)
-    return build_map(
-        md.bp, theta, tol=pre.cfg.solver_tol, maxit=pre.cfg.solver_maxit
-    )
+    return build_map(md.bp, np.zeros(md.bp.m + 1))
 
 
 def complex_potential(pre, upsilon, points):

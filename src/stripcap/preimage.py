@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .geometry import EllipseParams, build_preimage_boundary
-from .solver import DEFAULT_MAXIT, DEFAULT_TOL
 from .stripmap import build_map, extract_slit_images
 
 
@@ -28,21 +27,15 @@ class IterationConfig:
     r: float = 0.2
     eps: float = 1e-14
     max_iter: int = 100
-    solver_tol: float = DEFAULT_TOL
-    solver_maxit: int = DEFAULT_MAXIT
 
     def __post_init__(self):
-        for name in ("n", "max_iter", "solver_maxit"):
+        for name in ("n", "max_iter"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {value!r}")
         if self.n < 8 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 8, got {self.n!r}")
-        for name, hi, interval in (
-            ("r", 1.0, "(0, 1]"),
-            ("eps", math.inf, "(0, inf)"),
-            ("solver_tol", 1e-6, "(0, 1e-6]"),
-        ):
+        for name, hi, interval in (("r", 1.0, "(0, 1]"), ("eps", math.inf, "(0, inf)")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not (
                 0.0 < value <= hi and math.isfinite(value)
@@ -95,6 +88,10 @@ def iterate(omega, cfg=IterationConfig(), params=None, progress=None):
     """
     if params is None:
         params = initialize(omega, cfg)
+    elif len(params) != omega.m:
+        raise ValueError(
+            f"params holds {len(params)} ellipses for a domain with {omega.m} slits"
+        )
     m = omega.m
     targets_c = np.array([s.c for s in omega.slits])
     targets_l = np.array([s.ell for s in omega.slits])
@@ -106,7 +103,7 @@ def iterate(omega, cfg=IterationConfig(), params=None, progress=None):
     for k in range(1, cfg.max_iter + 1):
         t0 = time.perf_counter()
         bp = build_preimage_boundary(params, cfg.n)
-        md = build_map(bp, theta, tol=cfg.solver_tol, maxit=cfg.solver_maxit)
+        md = build_map(bp, theta)
         centers, lengths = extract_slit_images(md)
         err = float(
             (np.abs(centers - targets_c) + np.abs(lengths - targets_l)).sum()

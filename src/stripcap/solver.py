@@ -8,8 +8,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import ConvergenceError, GeometryError
 from .geometry import pairwise_differences
 
-DEFAULT_TOL = 1e-14
-DEFAULT_MAXIT = 100
+TOL = 1e-14
+# the crowded pair x=+-0.01, r=0.005, n=256 needs up to 278 Krylov iterations
+KRYLOV_BUDGET = 400
 
 
 @dataclass
@@ -34,21 +35,20 @@ class BieSolution:
     stats: SolverStats
 
 
-def solve_bie(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def solve_bie(ks, gamma):
     """Solve (I - N) rho = -M gamma by restart-free GMRES, matrix-free, and
     read off the piecewise constants h of the field [M rho - (I-N) gamma]/2.
 
-    Relative residual tolerance.  One refinement pass always follows; the
-    solve fails, with ConvergenceError carrying the residual history, only
-    when the true residual misses ``10 * tol * max|rhs|``.  The theory makes
-    the field exactly constant on each component, so ``h_dev`` is pure
+    GMRES runs to the relative residual ``TOL`` within ``KRYLOV_BUDGET``
+    iterations.  One refinement pass always follows; the solve fails, with
+    ConvergenceError carrying the residual history, only when the true
+    residual misses ``10 * TOL * max|rhs|``.  The theory makes the field
+    exactly constant on each component, so ``h_dev`` is pure
     discretization/solver noise.
     """
     gamma = np.asarray(gamma, dtype=float)
     if not np.all(np.isfinite(gamma)):
         raise ValueError("right-hand data contains non-finite values")
-    if not (0.0 < tol <= 1e-6):
-        raise ValueError(f"tol must be in (0, 1e-6], got {tol}")
     rhs = -ks.apply_M(gamma)
     rhs_norm = np.abs(rhs).max()
     if rhs_norm == 0.0:
@@ -59,9 +59,9 @@ def solve_bie(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
         op = LinearOperator((ntot, ntot), matvec=ks.apply_I_minus_N, dtype=float)
         history = []
         kwargs = {
-            "rtol": tol,
+            "rtol": TOL,
             "atol": 0.0,
-            "restart": min(maxit, ntot),
+            "restart": min(KRYLOV_BUDGET, ntot),
             "maxiter": 1,
             "callback": history.append,
             "callback_type": "pr_norm",
@@ -75,10 +75,10 @@ def solve_bie(ks, gamma, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
         corr, _ = gmres(op, defect, **{**kwargs, "callback": None})
         rho = rho + corr
         residual = np.abs(ks.apply_I_minus_N(rho) - rhs).max()
-        if residual > 10.0 * tol * rhs_norm:
+        if residual > 10.0 * TOL * rhs_norm:
             raise ConvergenceError(
                 f"GMRES stalled: residual {residual:.3e} after "
-                f"{len(history)} iterations (target {10 * tol * rhs_norm:.3e})",
+                f"{len(history)} iterations (target {10 * TOL * rhs_norm:.3e})",
                 history=history,
             )
         stats = SolverStats(

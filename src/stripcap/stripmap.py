@@ -29,7 +29,7 @@ from .geometry import (
     winding_number,
 )
 from .kernels import KernelSet
-from .solver import DEFAULT_MAXIT, DEFAULT_TOL, cauchy_eval, solve_bie
+from .solver import cauchy_eval, solve_bie
 
 
 def _near_poles(w):
@@ -109,12 +109,12 @@ class MapData:
         return out if np.asarray(points).ndim else complex(out[0])
 
 
-def build_map(bp, theta, tol=DEFAULT_TOL, maxit=DEFAULT_MAXIT):
+def build_map(bp, theta):
     """Solve the boundary integral equation and assemble the map data."""
     theta = np.asarray(theta, dtype=float)
     ks = KernelSet(bp, theta)
     gamma = strip_gamma(bp, theta)
-    sol = solve_bie(ks, gamma, tol=tol, maxit=maxit)
+    sol = solve_bie(ks, gamma)
     h_nodes = np.repeat(sol.h, bp.n)
     f_boundary = bp.split(
         (gamma + h_nodes + 1j * sol.rho) / ks.A.reshape(-1)

@@ -29,9 +29,9 @@ from stripcap.stripmap import inverse_map
 from conftest import CHANNEL_SLITS, FOUR_SLITS, record_criterion
 
 
-def cap_of(slits, n=1024, r=0.2, eps=1e-11, delta=None, **kw):
+def cap_of(slits, n=1024, r=0.2, eps=1e-11, delta=None):
     dom = sc.StripSlitDomain([sc.SlitSpec(a, b) for a, b in slits])
-    cfg = sc.IterationConfig(n=n, r=r, eps=eps, **kw)
+    cfg = sc.IterationConfig(n=n, r=r, eps=eps)
     return sc.capacity(sc.CondenserSpec(dom, delta=delta), cfg).cap
 
 
@@ -161,10 +161,7 @@ def test_criterion_06_two_vertical_bounds():
     ok = True
     vals = {}
     for x in (0.01, 0.5, 1.0, 2.0, 4.0):
-        kw = {}
-        if x < 0.1:
-            kw = {"solver_tol": 1e-12, "solver_maxit": 400}
-        v = cap_of([(-x - 1j, -x + 1j), (x - 1j, x + 1j)], r=min(0.2, 0.5 * x), **kw)
+        v = cap_of([(-x - 1j, -x + 1j), (x - 1j, x + 1j)], r=min(0.2, 0.5 * x))
         vals[x] = v
         ok = ok and (lo - 1e-6 <= v <= hi + 1e-6)
     lo_ratio = (vals[0.01] - lo) / lo

@@ -154,21 +154,6 @@ class TestCapacity:
         with pytest.raises(ValueError, match=r"delta\[1\] is not finite"):
             CondenserSpec(dom, (1.0, level))
 
-    def test_charge_solves_use_run_settings(self, monkeypatch):
-        capmod = importlib.import_module("stripcap.capacity")
-        seen = []
-        original = capmod.solve_bie
-
-        def spy(ks, gamma, **kwargs):
-            seen.append(kwargs)
-            return original(ks, gamma, **kwargs)
-
-        monkeypatch.setattr(capmod, "solve_bie", spy)
-        dom = StripSlitDomain([SlitSpec(-0.5, 0.5), SlitSpec(1.0j - 0.5, 1.0j + 0.5)])
-        cfg = IterationConfig(n=64, eps=1e-10, solver_tol=1e-12, solver_maxit=60)
-        capacity(CondenserSpec(dom), cfg)
-        assert seen == [{"tol": 1e-12, "maxit": 60}] * 2
-
     def test_nonconvergence_raises(self):
         dom = StripSlitDomain([SlitSpec(-0.5, 0.5)])
         cfg = IterationConfig(n=64, eps=1e-30, max_iter=2)
@@ -199,9 +184,7 @@ class TestStudies:
 
     def test_vertical_family_clamps_r(self):
         # only r changes; every other setting of the base config is kept
-        base = IterationConfig(
-            n=64, r=0.2, eps=1e-9, max_iter=7, solver_tol=1e-12, solver_maxit=400
-        )
+        base = IterationConfig(n=64, r=0.2, eps=1e-9, max_iter=7)
         samples = study_samples({"family": "two_vertical", "values": [0.1, 3.0]}, base)
         assert samples[0][2] == replace(base, r=0.05)
         assert samples[1][2] == base

@@ -50,10 +50,10 @@ class TestProblemFile:
 
     def test_precedence(self):
         problem = ProblemFile.parse(
-            {"slits": SMALL["slits"], "numerics": {"n": 64, "solver_maxit": 300}}
+            {"slits": SMALL["slits"], "numerics": {"n": 64, "max_iter": 30, "eps": 1e-9}}
         )
-        cfg = problem.config({"n": 32, "r": None})
-        assert cfg == IterationConfig(n=32, solver_maxit=300)
+        cfg = problem.config({"n": 32, "r": None, "eps": 1e-10})
+        assert cfg == IterationConfig(n=32, max_iter=30, eps=1e-10)
 
     def test_unknown_numerics_rejected(self):
         with pytest.raises(ValueError, match="unknown numerics"):
@@ -346,39 +346,56 @@ class TestCommands:
         assert proc2.returncode == 1
 
     @pytest.mark.parametrize(
-        "key, section",
+        "message, section",
         [
-            pytest.param("n", {"numerics": {"n": 64.0}}, id="n-64.0"),
-            pytest.param("max_iter", {"numerics": {"max_iter": 0}}, id="max_iter-0"),
-            pytest.param("numerics", {"numerics": [1, 2]}, id="numerics-list"),
+            pytest.param("n must be", {"numerics": {"n": 64.0}}, id="n-64.0"),
             pytest.param(
-                "study.values",
+                "max_iter must be", {"numerics": {"max_iter": 0}}, id="max_iter-0"
+            ),
+            pytest.param("numerics must be", {"numerics": [1, 2]}, id="numerics-list"),
+            pytest.param(
+                "study.values must be",
                 {"study": {"family": "two_vertical", "values": 5}},
                 id="study-values-int",
             ),
-            pytest.param("study.seed", {"study": {"seed": [1]}}, id="study-seed-list"),
-            pytest.param("flow", {"flow": [1, 2]}, id="flow-list"),
-            pytest.param("flow.nx", {"flow": {"nx": "ten"}}, id="flow-nx-string"),
-            pytest.param("delta", {"delta": 5}, id="delta-int"),
             pytest.param(
-                "slits[0]", {"slits": [{"a": 1, "b": [1, 0]}]}, id="slit-a-int"
+                "study.seed must be", {"study": {"seed": [1]}}, id="study-seed-list"
             ),
-            pytest.param("slits[0]", {"slits": [{"a": [0, 1]}]}, id="slit-b-missing"),
+            pytest.param("flow must be", {"flow": [1, 2]}, id="flow-list"),
+            pytest.param("flow.nx must be", {"flow": {"nx": "ten"}}, id="flow-nx-string"),
+            pytest.param("delta must be", {"delta": 5}, id="delta-int"),
+            pytest.param(
+                "slits[0] must be", {"slits": [{"a": 1, "b": [1, 0]}]}, id="slit-a-int"
+            ),
+            pytest.param(
+                "slits[0] must be", {"slits": [{"a": [0, 1]}]}, id="slit-b-missing"
+            ),
+            # the GMRES settings are module constants, not problem-file keys
+            pytest.param(
+                "unknown numerics keys: ['solver_maxit']",
+                {"numerics": {"solver_maxit": 400}},
+                id="solver_maxit-removed",
+            ),
+            pytest.param(
+                "unknown numerics keys: ['solver_tol']",
+                {"numerics": {"solver_tol": 1e-12}},
+                id="solver_tol-removed",
+            ),
         ],
     )
-    def test_bad_numerics_exit_1(self, tmp_path, key, section):
-        # a wrongly typed or shaped entry anywhere in the problem file
+    def test_bad_numerics_exit_1(self, tmp_path, message, section):
+        # a wrongly typed, shaped or unknown entry anywhere in the problem file
         path = write_problem(tmp_path, {**SMALL, **section})
         proc = run_cli(["capacity", "--input", path])
         assert proc.returncode == 1
-        assert proc.stderr.startswith(f"error: {key} must be")
+        assert proc.stderr.startswith(f"error: {message}")
         assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_flow_non_finite_bound_exit_1(self, tmp_path):
         # Python's json module writes and reads -Infinity
         payload = dict(SMALL, flow={"x": [float("-inf"), 3], "nx": 5, "ny": 5})
         path = write_problem(tmp_path, payload)
-        assert "-Infinity" in open(path).read()
+        assert "-Infinity" in Path(path).read_text()
         proc = run_cli(["flow", "--input", path, "--out", str(tmp_path / "f.csv")])
         assert proc.returncode == 1
         assert "grid bound x_min is not finite" in proc.stderr
@@ -394,7 +411,7 @@ class TestCommands:
         # Python's json module reads the bare token NaN as a float
         payload = dict(SMALL, slits=[{"a": [float("nan"), -0.5], "b": [0.0, 0.5]}])
         path = write_problem(tmp_path, payload)
-        assert "NaN" in open(path).read()
+        assert "NaN" in Path(path).read_text()
         proc = run_cli(["capacity", "--input", path])
         assert proc.returncode == 1
         assert "slit endpoint a is not finite" in proc.stderr
@@ -402,7 +419,7 @@ class TestCommands:
     def test_non_finite_delta_exit_1(self, tmp_path):
         payload = dict(SMALL, delta=[float("nan")])
         path = write_problem(tmp_path, payload)
-        assert "NaN" in open(path).read()
+        assert "NaN" in Path(path).read_text()
         proc = run_cli(["capacity", "--input", path])
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: potential level delta[0] is not finite")

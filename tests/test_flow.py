@@ -31,24 +31,6 @@ class TestLevels:
         levels = slit_stream_levels(horizontal_slit_map(channel_pre))
         assert np.all(np.abs(levels) < np.pi / 2)
 
-    def test_run_solver_settings_reach_flow_map(self, monkeypatch):
-        # the second map is solved under the run's solver_tol/solver_maxit,
-        # not under the module defaults
-        dom = StripSlitDomain([SlitSpec(-0.5j, 0.5j)])
-        cfg = IterationConfig(n=64, eps=1e-10, solver_tol=1e-12, solver_maxit=50)
-        pre = iterate(dom, cfg)
-        seen = []
-        original = flowmod.build_map
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(flowmod, "build_map", spy)
-        horizontal_slit_map(pre)
-        assert len(seen) == 1
-        assert seen[0]["tol"] == 1e-12 and seen[0]["maxit"] == 50
-
     def test_unconverged_preimage_rejected(self):
         dom = StripSlitDomain([SlitSpec(-0.5j, 0.5j)])
         pre = iterate(dom, IterationConfig(n=64, eps=1e-30, max_iter=1))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import stripcap.preimage as preimage
 from stripcap.errors import OverlapError
 from stripcap.geometry import SlitSpec, StripSlitDomain
 from stripcap.preimage import IterationConfig, PreimageResult, initialize, iterate
@@ -22,9 +23,6 @@ class TestIterationConfig:
             ("n", True),
             ("max_iter", 0),
             ("max_iter", 2.5),
-            ("solver_maxit", 0),
-            ("solver_tol", 1e-3),
-            ("solver_tol", 0.0),
             ("eps", float("nan")),
             ("eps", float("inf")),
             ("r", 0.0),
@@ -36,8 +34,10 @@ class TestIterationConfig:
             IterationConfig(**{field: value})
 
     def test_numpy_scalars_accepted(self):
-        cfg = IterationConfig(n=np.int64(64), r=np.float64(0.1), solver_tol=1e-6)
-        assert cfg.n == 64 and cfg.solver_tol == 1e-6
+        cfg = IterationConfig(
+            n=np.int64(64), r=np.float64(0.1), eps=np.float64(1e-6), max_iter=np.int32(5)
+        )
+        assert cfg.n == 64 and cfg.eps == 1e-6 and cfg.max_iter == 5
 
 
 class TestInitialize:
@@ -86,6 +86,18 @@ class TestIterate:
         again = iterate(omega, cfg, params=one_slit_pre.params)
         assert again.converged
         assert again.iterations == 1
+
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_params_length_checked(self, monkeypatch, count):
+        # a wrong-length params is rejected by name, before any solve
+        monkeypatch.setattr(
+            preimage, "build_map", lambda *a, **k: pytest.fail("solved")
+        )
+        omega = StripSlitDomain([SlitSpec(-1.0, -0.5), SlitSpec(0.5, 1.0)])
+        cfg = IterationConfig(n=64)
+        params = (initialize(omega, cfg) * 2)[:count]
+        with pytest.raises(ValueError, match=f"^params holds {count} ellipses .* 2 slits"):
+            iterate(omega, cfg, params=params)
 
     def test_max_iter_cap(self):
         omega = single_slit_domain()

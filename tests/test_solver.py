@@ -51,12 +51,13 @@ class TestSolveRho:
         ks = KernelSet(bp, np.array([np.pi / 2]))
         with pytest.raises(ValueError):
             solve_bie(ks, np.full_like(t, np.nan))
-        with pytest.raises(ValueError):
-            solve_bie(ks, np.cos(t), tol=1e-3)
 
-    def test_maxit_exhaustion_raises(self):
+    def test_maxit_exhaustion_raises(self, monkeypatch):
         # on the circle alone GMRES finishes in two steps (I - N is identity
         # plus rank one), so use a two-component geometry with a tiny budget
+        import stripcap.solver as solver
+
+        monkeypatch.setattr(solver, "KRYLOV_BUDGET", 2)
         n = 64
         t = 2 * np.pi * np.arange(n) / n
         he, hd = parametrize_ellipse(EllipseParams(z=0.3, a=0.5, theta=0.2, r=0.4), n)
@@ -67,7 +68,7 @@ class TestSolveRho:
         ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]))
         gamma = np.log(np.abs(bp.flat_eta - 0.3))
         with pytest.raises(ConvergenceError) as exc:
-            solve_bie(ks, gamma, maxit=2)
+            solve_bie(ks, gamma)
         assert len(exc.value.history) >= 1
 
     def test_scipy_info_flag_ignored_when_residual_met(self, monkeypatch):
