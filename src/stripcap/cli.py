@@ -122,6 +122,7 @@ def _run_record(pre):
         "iterations": pre.iterations,
         "error_history": pre.error_history,
         "gmres_history": pre.gmres_history,
+        "levels": [asdict(level) for level in pre.levels],
         "h_dev": pre.map.solution.h_dev.tolist(),
         "numerics": asdict(pre.cfg),
     }

@@ -61,6 +61,7 @@ def _assemble(eta, eta_dot, A, diag, n):
         c = (A[rows, None] * col[None, :]) / dz
         N[rows] = c.imag
         M1[rows] = c.real
+        del dz, c  # else they live on while the generator makes the next chunk
     k = np.arange(1, n)
     cot = circulant(np.concatenate([[0.0], 0.5 / np.pi / np.tan(np.pi * k / n)]))
     for j0 in range(0, ntot, n):

@@ -14,9 +14,16 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, GeometryError
 from .geometry import EllipseParams, build_preimage_boundary
 from .stripmap import build_map, extract_slit_images
+
+# n=128 resolves the four-slit and channel geometries (first-solve h_dev
+# 3.4e-15 and 2.4e-11); where it does not, one solve there costs 0.15 s
+LADDER_START = 128
+# the geometric middle of criterion 3's first-solve h_dev at n=128 (7.1e-5)
+# and the crowded pair's at every n <= 512 (1.5e-3 and above)
+RESOLVED_H_DEV = 3e-4
 
 
 @dataclass(frozen=True)
@@ -43,12 +50,27 @@ class IterationConfig:
                 raise ValueError(f"{name} must be in {interval}, got {value!r}")
 
 
+@dataclass(frozen=True)
+class LadderLevel:
+    """One rung of the n-ladder: its node count, the outer steps it took and
+    the largest ``h_dev`` of its last solve (None when no solve finished)."""
+
+    n: int
+    steps: int
+    h_dev: float | None
+
+
 @dataclass
 class PreimageResult:
+    """The outcome of ``iterate``.  ``error_history`` and ``gmres_history``
+    run over all ``levels`` in order; ``params`` and ``map`` belong to the
+    last level, which is always at ``cfg.n``."""
+
     params: list
     map: object
     error_history: list
     gmres_history: list
+    levels: list
     converged: bool
     omega: object
     cfg: IterationConfig
@@ -61,9 +83,9 @@ class PreimageResult:
         """Raise ConvergenceError unless the iteration met its tolerance."""
         if not self.converged:
             raise ConvergenceError(
-                f"preimage iteration did not reach {self.cfg.eps} in "
-                f"{self.cfg.max_iter} iterations (last error "
-                f"{self.error_history[-1]:.3e})",
+                f"preimage iteration did not reach {self.cfg.eps} at "
+                f"n={self.levels[-1].n} in {self.cfg.max_iter} iterations "
+                f"(last error {self.error_history[-1]:.3e})",
                 history=self.error_history,
             )
 
@@ -82,63 +104,105 @@ def initialize(omega, cfg):
 def iterate(omega, cfg=IterationConfig(), params=None, progress=None):
     """Run the fixed-point iteration until the mismatch drops below eps.
 
-    ``progress``, when given, receives one dict per iteration
-    (k, error, gmres_iters, elapsed_ms).  Returns the full history whether
-    or not the tolerance was met; ``converged`` records which.
+    Without ``params`` the run climbs the doubling ladder n0 = min(cfg.n,
+    LADDER_START), 2 n0, ..., cfg.n, and each level starts from the
+    parameters the level below converged to.  A coarse level that does not
+    resolve the geometry (the largest ``h_dev`` of its first solve reaches
+    RESOLVED_H_DEV, it misses eps, or it raises GeometryError or
+    ConvergenceError) ends the climb, and cfg.n starts over from
+    ``initialize``.  With ``params`` the one level cfg.n
+    runs from them.  ``max_iter`` caps each level, and the top level alone
+    decides ``converged``.
+
+    ``progress``, when given, receives one dict per outer step (k counted
+    over all levels, n, error, gmres_iters, elapsed_ms).  Returns the full
+    history whether or not the tolerance was met.
     """
+    coarse = []
     if params is None:
         params = initialize(omega, cfg)
+        n = min(cfg.n, LADDER_START)
+        while n < cfg.n:
+            coarse.append(n)
+            n *= 2
     elif len(params) != omega.m:
         raise ValueError(
             f"params holds {len(params)} ellipses for a domain with {omega.m} slits"
         )
-    m = omega.m
-    targets_c = np.array([s.c for s in omega.slits])
-    targets_l = np.array([s.ell for s in omega.slits])
-    theta = omega.theta
-    error_history = []
-    gmres_history = []
-    converged = False
-    md = None
-    for k in range(1, cfg.max_iter + 1):
-        t0 = time.perf_counter()
-        bp = build_preimage_boundary(params, cfg.n)
-        md = build_map(bp, theta)
-        centers, lengths = extract_slit_images(md)
-        err = float(
-            (np.abs(centers - targets_c) + np.abs(lengths - targets_l)).sum()
-            / (2.0 * m)
-        )
-        error_history.append(err)
-        gmres_history.append(md.solution.stats.iterations)
-        if progress is not None:
-            progress(
-                {
-                    "k": k,
-                    "error": err,
-                    "gmres_iters": md.solution.stats.iterations,
-                    "elapsed_ms": 1e3 * (time.perf_counter() - t0),
-                }
-            )
-        if err < cfg.eps:
-            converged = True
-            break
-        shrink = 1.0 - 0.5 * cfg.r
-        params = [
-            EllipseParams(
-                z=p.z - (centers[j] - targets_c[j]),
-                a=p.a - shrink * (lengths[j] - targets_l[j]),
-                theta=p.theta,
-                r=p.r,
-            )
-            for j, p in enumerate(params)
-        ]
-    return PreimageResult(
+    result = PreimageResult(
         params=list(params),
-        map=md,
-        error_history=error_history,
-        gmres_history=gmres_history,
-        converged=converged,
+        map=None,
+        error_history=[],
+        gmres_history=[],
+        levels=[],
+        converged=False,
         omega=omega,
         cfg=cfg,
     )
+    start = params
+    for n in coarse:
+        try:
+            resolved = _run_level(result, start, n, progress, coarse=True)
+        except (GeometryError, ConvergenceError):  # OverlapError is a GeometryError
+            resolved = False
+        if not resolved:
+            start = params
+            break
+        start = result.params
+    result.converged = _run_level(result, start, cfg.n, progress)
+    return result
+
+
+def _run_level(result, params, n, progress, coarse=False):
+    """Up to ``max_iter`` outer steps at n from ``params``, appended to the
+    histories of ``result``; leaves the last solved parameters and map in
+    it and the level in ``result.levels``, also when a step raises.
+    Returns whether the level met eps.  A coarse level whose first solve's
+    largest ``h_dev`` reaches RESOLVED_H_DEV stops there and returns False.
+    """
+    omega, cfg = result.omega, result.cfg
+    targets_c = np.array([s.c for s in omega.slits])
+    targets_l = np.array([s.ell for s in omega.slits])
+    shrink = 1.0 - 0.5 * cfg.r
+    steps, h_dev = 0, None
+    try:
+        while steps < cfg.max_iter:
+            t0 = time.perf_counter()
+            bp = build_preimage_boundary(params, n)
+            md = build_map(bp, omega.theta)
+            centers, lengths = extract_slit_images(md)
+            result.params, result.map = list(params), md
+            steps += 1
+            h_dev = float(md.solution.h_dev.max())
+            err = float(
+                (np.abs(centers - targets_c) + np.abs(lengths - targets_l)).sum()
+                / (2.0 * omega.m)
+            )
+            result.error_history.append(err)
+            result.gmres_history.append(md.solution.stats.iterations)
+            if progress is not None:
+                progress(
+                    {
+                        "k": len(result.error_history),
+                        "n": n,
+                        "error": err,
+                        "gmres_iters": md.solution.stats.iterations,
+                        "elapsed_ms": 1e3 * (time.perf_counter() - t0),
+                    }
+                )
+            if coarse and steps == 1 and h_dev >= RESOLVED_H_DEV:
+                return False
+            if err < cfg.eps:
+                return True
+            params = [
+                EllipseParams(
+                    z=p.z - (centers[j] - targets_c[j]),
+                    a=p.a - shrink * (lengths[j] - targets_l[j]),
+                    theta=p.theta,
+                    r=p.r,
+                )
+                for j, p in enumerate(params)
+            ]
+        return False
+    finally:
+        result.levels.append(LadderLevel(n=n, steps=steps, h_dev=h_dev))

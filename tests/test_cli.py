@@ -137,6 +137,21 @@ class TestCommands:
         lines = [json.loads(l) for l in proc.stderr.strip().splitlines() if l]
         assert lines and all({"k", "error"} <= set(rec) for rec in lines)
 
+    def test_preimage_levels(self, tmp_path):
+        # n=256 climbs from n=128; the record and the progress lines say so
+        path = write_problem(tmp_path, SMALL)
+        proc = run_cli(["preimage", "--input", path, "--n", "256", "--progress"])
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        levels = payload["levels"]
+        assert [level["n"] for level in levels] == [128, 256]
+        assert sum(level["steps"] for level in levels) == payload["iterations"]
+        assert len(payload["error_history"]) == payload["iterations"]
+        lines = [json.loads(l) for l in proc.stderr.strip().splitlines() if l]
+        assert [rec["n"] for rec in lines] == [
+            level["n"] for level in levels for _ in range(level["steps"])
+        ]
+
     def test_capacity_with_exact(self, tmp_path):
         path = write_problem(tmp_path, SMALL)
         proc = run_cli(["capacity", "--input", path, "--exact", "vertical:0.5"])

@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 import stripcap.preimage as preimage
-from stripcap.errors import OverlapError
-from stripcap.geometry import SlitSpec, StripSlitDomain
-from stripcap.preimage import IterationConfig, PreimageResult, initialize, iterate
+from stripcap.capacity import charges_from_boundary
+from stripcap.errors import ConvergenceError, OverlapError
+from stripcap.geometry import SlitSpec, StripSlitDomain, psi_inv
+from stripcap.preimage import (
+    RESOLVED_H_DEV,
+    IterationConfig,
+    PreimageResult,
+    initialize,
+    iterate,
+)
+
+from conftest import FOUR_SLITS
 
 
 def single_slit_domain():
@@ -86,6 +95,8 @@ class TestIterate:
         again = iterate(omega, cfg, params=one_slit_pre.params)
         assert again.converged
         assert again.iterations == 1
+        # a caller's warm start replaces the ladder
+        assert [(lv.n, lv.steps) for lv in again.levels] == [(256, 1)]
 
     @pytest.mark.parametrize("count", [0, 1, 3])
     def test_params_length_checked(self, monkeypatch, count):
@@ -105,6 +116,8 @@ class TestIterate:
         res = iterate(omega, cfg)
         assert not res.converged
         assert res.iterations == 3
+        with pytest.raises(ConvergenceError, match="did not reach 1e-30 at n=64 in 3 "):
+            res.require_converged()
 
     def test_progress_callback(self):
         omega = single_slit_domain()
@@ -112,7 +125,7 @@ class TestIterate:
         iterate(omega, IterationConfig(n=64, eps=1e-10), progress=seen.append)
         assert len(seen) >= 1
         for rec in seen:
-            assert set(rec) >= {"k", "error", "gmres_iters", "elapsed_ms"}
+            assert set(rec) >= {"k", "n", "error", "gmres_iters", "elapsed_ms"}
         assert [rec["k"] for rec in seen] == list(range(1, len(seen) + 1))
 
     def test_smaller_r_fewer_iterations(self):
@@ -129,3 +142,69 @@ class TestIterate:
         assert one_slit_pre.omega is not None
         assert one_slit_pre.cfg == IterationConfig(n=256, r=0.2)
         assert one_slit_pre.map.m == 1
+
+
+class TestLadder:
+    @staticmethod
+    def capacity_of(pre):
+        a, _ = charges_from_boundary(
+            pre.map.bp, [psi_inv(p.z) for p in pre.params]
+        )
+        return 2.0 * np.pi * a.sum()
+
+    def test_resolved_levels_hand_up(self):
+        omega = StripSlitDomain(FOUR_SLITS)
+        cfg = IterationConfig(n=512, r=0.2, eps=1e-11)
+        res = iterate(omega, cfg)
+        assert res.converged
+        assert [lv.n for lv in res.levels] == [128, 256, 512]
+        assert res.levels[-1].steps <= 2
+        assert all(lv.h_dev < RESOLVED_H_DEV for lv in res.levels)
+        assert sum(lv.steps for lv in res.levels) == res.iterations
+        assert len(res.gmres_history) == res.iterations
+        cold = iterate(omega, cfg, params=initialize(omega, cfg))
+        assert [lv.n for lv in cold.levels] == [512]
+        cap, cap_cold = self.capacity_of(res), self.capacity_of(cold)
+        assert abs(cap - cap_cold) <= 1e-13 * cap_cold
+
+    def test_unresolved_level_ends_the_climb(self):
+        # the crowded pair: n=128 does not resolve the 0.02 gap, so its
+        # first solve ends the ladder and n=256 starts cold
+        omega = StripSlitDomain(
+            [SlitSpec(-0.01 - 1j, -0.01 + 1j), SlitSpec(0.01 - 1j, 0.01 + 1j)]
+        )
+        cfg = IterationConfig(n=256, r=0.005, eps=1e-11, max_iter=2)
+        res = iterate(omega, cfg)
+        first, top = res.levels
+        assert (first.n, first.steps) == (128, 1)
+        assert first.h_dev >= RESOLVED_H_DEV
+        assert (top.n, top.steps) == (256, 2)
+        cold = iterate(omega, cfg, params=initialize(omega, cfg))
+        assert res.error_history[1:] == cold.error_history
+        assert res.gmres_history[1:] == cold.gmres_history
+
+    def test_failing_level_ends_the_climb(self, monkeypatch):
+        # a coarse level that raises counts as unresolved: recorded with no
+        # solve, and n=256 starts cold
+        build_map = preimage.build_map
+
+        def fail_at_128(bp, theta):
+            if bp.n == 128:
+                raise ConvergenceError("stalled")
+            return build_map(bp, theta)
+
+        monkeypatch.setattr(preimage, "build_map", fail_at_128)
+        omega = single_slit_domain()
+        cfg = IterationConfig(n=256, eps=1e-10)
+        res = iterate(omega, cfg)
+        monkeypatch.undo()
+        first, top = res.levels
+        assert (first.n, first.steps, first.h_dev) == (128, 0, None)
+        assert top.n == 256 and res.converged
+        cold = iterate(omega, cfg, params=initialize(omega, cfg))
+        assert res.error_history == cold.error_history
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_one_level_up_to_ladder_start(self, n):
+        res = iterate(single_slit_domain(), IterationConfig(n=n, eps=1e-10))
+        assert [(lv.n, lv.steps) for lv in res.levels] == [(n, res.iterations)]
