@@ -101,34 +101,28 @@ def initialize(omega, cfg):
     return params
 
 
-def iterate(omega, cfg=IterationConfig(), params=None, progress=None):
+def iterate(omega, cfg=IterationConfig(), progress=None):
     """Run the fixed-point iteration until the mismatch drops below eps.
 
-    Without ``params`` the run climbs the doubling ladder n0 = min(cfg.n,
-    LADDER_START), 2 n0, ..., cfg.n, and each level starts from the
+    The run climbs the doubling ladder n0 = min(cfg.n, LADDER_START), 2 n0,
+    ..., cfg.n from ``initialize``, and each level starts from the
     parameters the level below converged to.  A coarse level that does not
     resolve the geometry (the largest ``h_dev`` of its first solve reaches
     RESOLVED_H_DEV, it misses eps, or it raises GeometryError or
     ConvergenceError) ends the climb, and cfg.n starts over from
-    ``initialize``.  With ``params`` the one level cfg.n
-    runs from them.  ``max_iter`` caps each level, and the top level alone
+    ``initialize``.  ``max_iter`` caps each level, and the top level alone
     decides ``converged``.
 
     ``progress``, when given, receives one dict per outer step (k counted
     over all levels, n, error, gmres_iters, elapsed_ms).  Returns the full
     history whether or not the tolerance was met.
     """
+    params = initialize(omega, cfg)
     coarse = []
-    if params is None:
-        params = initialize(omega, cfg)
-        n = min(cfg.n, LADDER_START)
-        while n < cfg.n:
-            coarse.append(n)
-            n *= 2
-    elif len(params) != omega.m:
-        raise ValueError(
-            f"params holds {len(params)} ellipses for a domain with {omega.m} slits"
-        )
+    n = min(cfg.n, LADDER_START)
+    while n < cfg.n:
+        coarse.append(n)
+        n *= 2
     result = PreimageResult(
         params=list(params),
         map=None,

@@ -88,27 +88,13 @@ class TestIterate:
         # converged exactly when the last recorded error beat eps
         assert one_slit_pre.converged == (hist[-1] < 1e-14)
 
-    def test_fixed_point_reentry(self, one_slit_pre):
-        # restarting from converged parameters must stop immediately
-        omega = one_slit_pre.omega
-        cfg = IterationConfig(n=256, eps=1e-12)
-        again = iterate(omega, cfg, params=one_slit_pre.params)
-        assert again.converged
-        assert again.iterations == 1
-        # a caller's warm start replaces the ladder
-        assert [(lv.n, lv.steps) for lv in again.levels] == [(256, 1)]
-
-    @pytest.mark.parametrize("count", [0, 1, 3])
-    def test_params_length_checked(self, monkeypatch, count):
-        # a wrong-length params is rejected by name, before any solve
-        monkeypatch.setattr(
-            preimage, "build_map", lambda *a, **k: pytest.fail("solved")
-        )
-        omega = StripSlitDomain([SlitSpec(-1.0, -0.5), SlitSpec(0.5, 1.0)])
-        cfg = IterationConfig(n=64)
-        params = (initialize(omega, cfg) * 2)[:count]
-        with pytest.raises(ValueError, match=f"^params holds {count} ellipses .* 2 slits"):
-            iterate(omega, cfg, params=params)
+    def test_fixed_point_reentry(self):
+        # a level started from the parameters the level below converged to
+        # must stop after one step
+        res = iterate(single_slit_domain(), IterationConfig(n=256, eps=1e-12))
+        assert res.converged
+        assert [lv.n for lv in res.levels] == [128, 256]
+        assert res.levels[-1].steps == 1
 
     def test_max_iter_cap(self):
         omega = single_slit_domain()
@@ -152,7 +138,7 @@ class TestLadder:
         )
         return 2.0 * np.pi * a.sum()
 
-    def test_resolved_levels_hand_up(self):
+    def test_resolved_levels_hand_up(self, monkeypatch):
         omega = StripSlitDomain(FOUR_SLITS)
         cfg = IterationConfig(n=512, r=0.2, eps=1e-11)
         res = iterate(omega, cfg)
@@ -162,12 +148,13 @@ class TestLadder:
         assert all(lv.h_dev < RESOLVED_H_DEV for lv in res.levels)
         assert sum(lv.steps for lv in res.levels) == res.iterations
         assert len(res.gmres_history) == res.iterations
-        cold = iterate(omega, cfg, params=initialize(omega, cfg))
+        monkeypatch.setattr(preimage, "LADDER_START", cfg.n)
+        cold = iterate(omega, cfg)
         assert [lv.n for lv in cold.levels] == [512]
         cap, cap_cold = self.capacity_of(res), self.capacity_of(cold)
         assert abs(cap - cap_cold) <= 1e-13 * cap_cold
 
-    def test_unresolved_level_ends_the_climb(self):
+    def test_unresolved_level_ends_the_climb(self, monkeypatch):
         # the crowded pair: n=128 does not resolve the 0.02 gap, so its
         # first solve ends the ladder and n=256 starts cold
         omega = StripSlitDomain(
@@ -179,7 +166,8 @@ class TestLadder:
         assert (first.n, first.steps) == (128, 1)
         assert first.h_dev >= RESOLVED_H_DEV
         assert (top.n, top.steps) == (256, 2)
-        cold = iterate(omega, cfg, params=initialize(omega, cfg))
+        monkeypatch.setattr(preimage, "LADDER_START", cfg.n)
+        cold = iterate(omega, cfg)
         assert res.error_history[1:] == cold.error_history
         assert res.gmres_history[1:] == cold.gmres_history
 
@@ -201,7 +189,8 @@ class TestLadder:
         first, top = res.levels
         assert (first.n, first.steps, first.h_dev) == (128, 0, None)
         assert top.n == 256 and res.converged
-        cold = iterate(omega, cfg, params=initialize(omega, cfg))
+        monkeypatch.setattr(preimage, "LADDER_START", cfg.n)
+        cold = iterate(omega, cfg)
         assert res.error_history == cold.error_history
 
     @pytest.mark.parametrize("n", [64, 128])

@@ -4,9 +4,19 @@ import numpy as np
 import pytest
 
 from stripcap.errors import ConvergenceError, GeometryError
-from stripcap.geometry import BoundaryParametrization, parametrize_ellipse, EllipseParams
+from stripcap.geometry import (
+    BoundaryParametrization,
+    EllipseParams,
+    StripSlitDomain,
+    build_preimage_boundary,
+    parametrize_ellipse,
+)
 from stripcap.kernels import KernelSet
+from stripcap.preimage import IterationConfig, initialize
 from stripcap.solver import cauchy_eval, solve_bie
+from stripcap.stripmap import strip_gamma
+
+from conftest import FOUR_SLITS
 
 
 def circle_bp(n=128):
@@ -14,6 +24,14 @@ def circle_bp(n=128):
     eta = np.exp(1j * t)[None, :]
     eta_dot = 1j * np.exp(1j * t)[None, :]
     return BoundaryParametrization(eta, eta_dot), t
+
+
+def four_slit_system(n=128):
+    """The strip-map system on the four-slit initial ellipses."""
+    omega = StripSlitDomain(FOUR_SLITS)
+    params = initialize(omega, IterationConfig(n=n))
+    bp = build_preimage_boundary(params, n)
+    return KernelSet(bp, omega.theta), strip_gamma(bp, omega.theta)
 
 
 class TestSolveRho:
@@ -88,6 +106,46 @@ class TestSolveRho:
         sol = solve_bie(ks, np.cos(3 * t))
         assert np.abs(sol.rho - np.sin(3 * t)).max() < 1e-12
         assert sol.stats.residual <= 10 * 1e-14 * np.abs(ks.apply_M(np.cos(3 * t))).max()
+
+    def test_second_call_costs_no_krylov_pass(self):
+        # the second gmres call restarts from the first one's iterate, which
+        # already meets TOL, so it adds no Krylov iteration: the solve's
+        # matvecs are its Krylov iterations plus a handful of residuals
+        ks, gamma = four_slit_system()
+        apply = ks.apply_I_minus_N
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return apply(x)
+
+        ks.apply_I_minus_N = counted
+        sol = solve_bie(ks, gamma)
+        assert sol.stats.iterations > 0
+        assert len(calls) <= sol.stats.iterations + 5
+
+    def test_second_call_rescues_a_spoilt_iterate(self, monkeypatch):
+        # a first pass that ends 1e-9 off is repaired by the second call,
+        # whose Krylov iterations count in the stats
+        import stripcap.solver as solver
+
+        ks, gamma = four_slit_system()
+        clean = solve_bie(ks, gamma)
+        real_gmres = solver.gmres
+        calls = []
+
+        def spoilt_first(*args, **kwargs):
+            x, info = real_gmres(*args, **kwargs)
+            calls.append(1)
+            return (x + 1e-9 if len(calls) == 1 else x), info
+
+        monkeypatch.setattr(solver, "gmres", spoilt_first)
+        sol = solve_bie(ks, gamma)
+        assert len(calls) == 2
+        assert sol.stats.residual <= 10 * solver.TOL * np.abs(ks.apply_M(gamma)).max()
+        assert np.abs(sol.rho - clean.rho).max() < 1e-12
+        assert sol.stats.iterations > clean.stats.iterations
+        assert len(sol.stats.history) == sol.stats.iterations
 
 
 class TestCauchyEval:
