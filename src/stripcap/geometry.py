@@ -330,17 +330,33 @@ class BoundaryParametrization:
 
 
 def pairwise_differences(nodes, targets):
-    """Yield ``(rows, nodes[None, :] - targets[rows, None])`` for row slices
-    of ``targets`` of about 2^21 elements each.
+    """Yield ``(rows, x, y)``, the real and imaginary parts of
+    ``nodes[None, :] - targets[rows, None]``, for row slices of ``targets``
+    of about 2^16 elements each.
 
     Every dense (targets x nodes) loop of the package -- kernel assembly,
-    Cauchy sums and winding numbers -- takes its differences from here, so
-    one complex temporary stays at about 32 MB whatever the sizes.
+    Cauchy sums and winding numbers -- takes its differences from here.
+    ``x`` and ``y`` are views of two real buffers of about 512 KiB that are
+    allocated once per call and overwritten for every chunk, so a
+    consumer's passes over a chunk stay in cache.  Consumers may work on
+    them in place but must not keep them past the next chunk.
     """
-    step = max(1, (1 << 21) // max(1, nodes.shape[0]))
-    for p0 in range(0, targets.shape[0], step):
-        rows = slice(p0, min(p0 + step, targets.shape[0]))
-        yield rows, nodes[None, :] - targets[rows, None]
+    nn, nt = nodes.shape[0], targets.shape[0]
+    step = max(1, (1 << 16) // max(1, nn))
+    xbuf = np.empty(min(step, nt) * nn)
+    ybuf = np.empty_like(xbuf)
+    for p0 in range(0, nt, step):
+        rows = slice(p0, min(p0 + step, nt))
+        size = (rows.stop - rows.start) * nn
+        x = xbuf[:size].reshape(-1, nn)
+        y = ybuf[:size].reshape(-1, nn)
+        # a row copy and an in-place subtraction run faster than one
+        # broadcast subtraction into ``out``
+        x[...] = nodes.real
+        x -= targets.real[rows, None]
+        y[...] = nodes.imag
+        y -= targets.imag[rows, None]
+        yield rows, x, y
 
 
 def winding_number(curve, w):
@@ -350,12 +366,16 @@ def winding_number(curve, w):
     scalar = w_in.ndim == 0
     wv = np.atleast_1d(w_in)
     res = np.empty(wv.shape[0], dtype=int)
-    for rows, z in pairwise_differences(curve, wv):
+    for rows, x, y in pairwise_differences(curve, wv):
         # the angle of z_{k+1} conj(z_k) is that of z_{k+1}/z_k, with no
-        # division by a node that coincides with a point; z is a fresh chunk
-        turn = np.roll(z, -1, axis=1)
-        turn *= np.conjugate(z, out=z)
-        res[rows] = np.rint(np.angle(turn).sum(axis=1) / (2.0 * np.pi))
+        # division by a node that coincides with a point
+        xn = np.roll(x, -1, axis=1)
+        yn = np.roll(y, -1, axis=1)
+        re = xn * x
+        re += yn * y
+        im = yn * x
+        im -= xn * y
+        res[rows] = np.rint(np.arctan2(im, re).sum(axis=1) / (2.0 * np.pi))
     return int(res[0]) if scalar else res
 
 

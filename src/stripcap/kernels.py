@@ -53,7 +53,9 @@ def _assemble(eta, eta_dot, A, diag, n):
     N = np.empty((ntot, ntot))
     M1 = np.empty((ntot, ntot))
     col = eta_dot / A / np.pi
-    for rows, dz in pairwise_differences(eta, eta):
+    for rows, x, y in pairwise_differences(eta, eta):
+        dz = np.empty(x.shape, dtype=complex)
+        dz.real, dz.imag = x, y
         local = np.arange(rows.stop - rows.start)
         dz[local, rows.start + local] = 1.0  # any nonzero divisor: overwritten below
         if not dz.all():
@@ -61,7 +63,6 @@ def _assemble(eta, eta_dot, A, diag, n):
         c = (A[rows, None] * col[None, :]) / dz
         N[rows] = c.imag
         M1[rows] = c.real
-        del dz, c  # else they live on while the generator makes the next chunk
     k = np.arange(1, n)
     cot = circulant(np.concatenate([[0.0], 0.5 / np.pi / np.tan(np.pi * k / n)]))
     for j0 in range(0, ntot, n):

@@ -93,20 +93,32 @@ def cauchy_sums(bnodes, weights, values, targets):
         num(z) = sum_i v_i w_i / (b_i - z),   den(z) = sum_i w_i / (b_i - z),
 
     plus dmin(z) = min_i |b_i - z|.
+
+    With b_i - z = x + iy and r = x^2 + y^2, 1/(b_i - z) = (x - iy)/r.  The
+    chunk's planar parts from ``pairwise_differences`` are divided by r in
+    place; then, with v_i w_i = a_i + i b_i and w_i = c_i + i d_i, the four
+    real parts [Re num, Im num, Re den, Im den] are x.[a, b, c, d] +
+    y.[b, -a, d, -c]: two real products, no complex division and no
+    ``np.abs``.
     """
     npts = targets.shape[0]
-    num = np.empty(npts, dtype=np.complex128)
-    den = np.empty(npts, dtype=np.complex128)
+    sums = np.empty((npts, 4))
     dmin = np.empty(npts)
     vw = values * weights
+    x_cols = np.column_stack([vw.real, vw.imag, weights.real, weights.imag])
+    y_cols = np.column_stack([vw.imag, -vw.real, weights.imag, -weights.real])
     # an exactly-coincident node divides by zero; the caller rejects that
     # point via dmin, so its non-finite sums are never read
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, diff in pairwise_differences(bnodes, targets):
-            dmin[rows] = np.abs(diff).min(axis=1)
-            inv = 1.0 / diff
-            num[rows] = inv @ vw
-            den[rows] = inv @ weights
+        for rows, x, y in pairwise_differences(bnodes, targets):
+            r = x * x
+            r += y * y
+            dmin[rows] = np.sqrt(r.min(axis=1))
+            x /= r
+            y /= r
+            np.matmul(x, x_cols, out=sums[rows])
+            sums[rows] += y @ y_cols
+    num, den = sums.view(np.complex128).T
     return num, den, dmin
 
 

@@ -8,21 +8,30 @@ per-layer metrics as missing; these tests fail first.
 
 import importlib
 import inspect
+import json
+import math
 import runpy
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stripcap as sc
 from stripcap.flow import GridSpec, horizontal_slit_map, stream_grid
 from stripcap.geometry import BoundaryParametrization
 from stripcap.kernels import KernelSet
 from stripcap.solver import solve_bie
 
+from conftest import FOUR_SLITS
+
 # run_path reads the file without importing pipebench or writing bytecode
 LAYERS = runpy.run_path(
     str(Path(__file__).resolve().parents[1] / "pipebench" / "layers.py")
 )
+BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+# per-layer names that pipebench/worker.py adds next to the tracer's metrics
+WORKER_METRICS = {"warnings", "trace.wall_s", "trace.untraced_wall_s", "trace.overhead_s"}
 
 # The spans that a stream_grid call must reach: the benchmark's
 # flow-channel-n512 workload reports their metrics missing otherwise.
@@ -81,3 +90,26 @@ def test_stream_grid_reaches_flow_spans(one_slit_pre):
     assert tracer.calls["flow.grid"] == 1
     assert not tracer.missing
     assert all(tracer.calls[span] >= 1 for span in FLOW_PATH), dict(tracer.calls)
+
+
+def test_traced_metrics_complete_and_strict_json(one_slit_pre):
+    # a capacity and a flow grid together reach every seam, so every
+    # per-layer name of BENCHMARK.json that the tracer gives must be present
+    # and finite: a missing name or a NaN/Infinity spoils the result line
+    spec = sc.CondenserSpec(sc.StripSlitDomain(FOUR_SLITS), delta=(1.0,) * 4)
+    cfg = sc.IterationConfig(n=64, r=0.2, eps=1e-11)
+    tracer = LAYERS["Tracer"]()
+    t0 = time.perf_counter()
+    tracer.install()
+    try:
+        sc.capacity(spec, cfg)
+        ups = horizontal_slit_map(one_slit_pre)
+        stream_grid(one_slit_pre, ups, GridSpec(-2.0, 2.0, -1.0, 1.0, 5, 3))
+    finally:
+        tracer.uninstall()
+    values, missing = tracer.metrics(time.perf_counter() - t0)
+    assert not missing
+    per_layer = {m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"]}
+    assert per_layer - WORKER_METRICS <= set(values), sorted(per_layer - WORKER_METRICS - set(values))
+    assert all(math.isfinite(v) for v, _ in values.values()), values
+    json.dumps(values, allow_nan=False)

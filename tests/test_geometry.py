@@ -4,6 +4,7 @@ import pytest
 import stripcap as sc
 from stripcap.geometry import (
     HALF_PI,
+    pairwise_differences,
     point_segment_distance,
     psi_inv_deriv,
     segment_distance,
@@ -208,14 +209,65 @@ class TestWinding:
         curve = np.exp(1j * t)
         w = winding_number(curve, np.array([0.0, 0.5j, 2.0]))
         assert list(w) == [1, 1, 0]
-        # more points than one row chunk holds (2^21 // 64 = 32768); the
-        # 64-gon's inradius cos(pi/64) exceeds 0.99
+        # many row chunks (2^16 // 64 = 1024 points each); the 64-gon's
+        # inradius cos(pi/64) exceeds 0.99
         rng = np.random.default_rng(5)
         radius = np.concatenate([rng.uniform(0, 0.99, 20000), rng.uniform(1.01, 2, 20000)])
         pts = radius * np.exp(2j * np.pi * rng.uniform(size=radius.size))
         w = winding_number(curve[::4], pts)
         assert w.shape == (40000,)
         assert np.array_equal(w, (radius < 1).astype(int))
+
+    def test_matches_complex_turn_formula(self):
+        # the planar turn angles agree with angle(z_{k+1} conj(z_k)) of the
+        # complex differences, point for point
+        rng = np.random.default_rng(11)
+        t = 2 * np.pi * np.arange(64) / 64
+        curve = np.exp(1j * t) * (1 + 0.3 * np.cos(3 * t))
+        pts = rng.uniform(-2, 2, 40000) + 1j * rng.uniform(-2, 2, 40000)
+        z = curve[None, :] - pts[:, None]
+        turn = np.roll(z, -1, axis=1) * np.conj(z)
+        ref = np.rint(np.angle(turn).sum(axis=1) / (2 * np.pi)).astype(int)
+        w = winding_number(curve, pts)
+        assert np.array_equal(w, ref)
+        assert set(np.unique(w)) == {0, 1}
+
+
+class TestPairwiseDifferences:
+    @staticmethod
+    def chunks(nodes, targets):
+        # copies: the generator overwrites its two buffers for every chunk
+        return [(rows, x.copy(), y.copy()) for rows, x, y in pairwise_differences(nodes, targets)]
+
+    @pytest.mark.parametrize(
+        "nn, nt",
+        [(1000, 200), (1000, 1), (70000, 3)],
+        ids=["ragged-last-chunk", "one-target", "more-nodes-than-a-chunk"],
+    )
+    def test_matches_direct_differences(self, nn, nt):
+        rng = np.random.default_rng(nn + nt)
+        nodes = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
+        targets = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
+        direct = nodes[None, :] - targets[:, None]
+        chunks = self.chunks(nodes, targets)
+        step = max(1, 2**16 // nn)
+        assert [c[0] for c in chunks] == [
+            slice(p, min(p + step, nt)) for p in range(0, nt, step)
+        ]
+        x = np.vstack([c[1] for c in chunks])
+        y = np.vstack([c[2] for c in chunks])
+        assert np.array_equal(x, direct.real)
+        assert np.array_equal(y, direct.imag)
+
+    def test_buffers_reused(self):
+        nodes = np.exp(2j * np.pi * np.arange(512) / 512)
+        targets = np.linspace(-0.5, 0.5, 1000).astype(complex)
+        first = None
+        for rows, x, y in pairwise_differences(nodes, targets):
+            assert x.nbytes <= 2**19 and y.nbytes <= 2**19
+            if first is None:
+                first = x, y
+            assert np.shares_memory(x, first[0]) and np.shares_memory(y, first[1])
 
 
 class TestPreimageBoundary:

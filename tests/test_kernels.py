@@ -216,8 +216,10 @@ class TestAssembly:
             assert np.abs(ks.M1[i, off] - ref).max() < 1e-11
 
     def test_transient_memory_bounded(self):
-        # beyond the stored N and M1, assembly holds at most three complex
-        # (rows x nodes) temporaries of one 2^21-element chunk (32 MiB each)
+        # beyond the stored N and M1, assembly holds the generator's two real
+        # 2^16-element buffers (512 KiB each) and at most three complex
+        # temporaries of one such chunk (1 MiB each), plus 4 MiB for the
+        # n x n cot circulant (2 MiB at n=512) and the small per-node arrays
         cfg = sc.IterationConfig(n=512)
         dom = sc.StripSlitDomain(FOUR_SLITS)
         bp = sc.build_preimage_boundary(sc.initialize(dom, cfg), cfg.n)
@@ -228,7 +230,7 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         transient = peak - ks.N.nbytes - ks.M1.nbytes
-        assert transient <= 3 * 32 * 2**20 + 4 * 2**20
+        assert transient <= 2 * 2**19 + 3 * 2**20 + 4 * 2**20
 
     def test_coincident_holes_rejected(self):
         one = two_component_bp(64)

@@ -1,5 +1,8 @@
 """Integral-equation solver and Cauchy evaluation tests."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,7 @@ from stripcap.geometry import (
 )
 from stripcap.kernels import KernelSet
 from stripcap.preimage import IterationConfig, initialize
-from stripcap.solver import cauchy_eval, solve_bie
+from stripcap.solver import cauchy_eval, cauchy_sums, solve_bie
 from stripcap.stripmap import strip_gamma
 
 from conftest import FOUR_SLITS
@@ -212,3 +215,49 @@ class TestCauchyEval:
         pts = np.array([-0.6, 0.8j, 0.3 + 0.6j, -0.2 - 0.5j])
         vals = cauchy_eval(bp.flat_eta, bp.flat_eta_dot, f(bp.flat_eta), pts)
         assert np.abs(vals - f(pts)).max() < 1e-10
+
+
+class TestCauchySums:
+    @staticmethod
+    def problem(nb=2560, nt=2000, seed=4):
+        rng = np.random.default_rng(seed)
+        nodes = np.exp(2j * np.pi * np.arange(nb) / nb)
+        weights = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+        values = rng.standard_normal(nb) + 1j * rng.standard_normal(nb)
+        targets = 0.95 * np.sqrt(rng.uniform(size=nt)) * np.exp(2j * np.pi * rng.uniform(size=nt))
+        return nodes, weights, values, targets
+
+    def test_matches_complex_division(self):
+        nodes, weights, values, targets = self.problem()
+        num, den, dmin = cauchy_sums(nodes, weights, values, targets)
+        inv = 1.0 / (nodes[None, :] - targets[:, None])
+        ref_num, ref_den = inv @ (values * weights), inv @ weights
+        assert np.abs(num - ref_num).max() <= 1e-13 * np.abs(ref_num).max()
+        assert np.abs(den - ref_den).max() <= 1e-13 * np.abs(ref_den).max()
+        ref_dmin = np.abs(nodes[None, :] - targets[:, None]).min(axis=1)
+        assert np.abs(dmin - ref_dmin).max() <= 1e-15
+
+    def test_coincident_node(self):
+        nodes, weights, values, targets = self.problem(nt=50)
+        targets[17] = nodes[123]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, dmin = cauchy_sums(nodes, weights, values, targets)
+            assert dmin[17] == 0.0 and (np.delete(dmin, 17) > 0.0).all()
+            with pytest.raises(GeometryError, match="boundary"):
+                cauchy_eval(nodes, weights, values, targets)
+
+    def test_transient_memory_bounded(self):
+        # beyond its (targets x 4) sums and the targets-long dmin and result,
+        # cauchy_eval holds the generator's two 2^16-element real buffers and
+        # at most two chunk temporaries of the same size (2 MiB together),
+        # plus 1 MiB for the small per-node and per-chunk arrays
+        nodes, weights, values, targets = self.problem(nt=20000)
+        tracemalloc.start()
+        try:
+            vals = cauchy_eval(nodes, weights, values, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = targets.size * (4 * 8 + 8) + vals.nbytes
+        assert peak - outputs <= 2 * 2**20 + 2**20
