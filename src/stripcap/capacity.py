@@ -109,9 +109,11 @@ class CapacityResult:
 def charges_from_boundary(bp, alphas):
     """Plate charges on a fixed smooth geometry (step 2).
 
-    ``alphas`` holds one point strictly inside each hole.  For each plate k
-    the data log|eta - alpha_k| is solved through the integral equation and
-    the resulting piecewise constants h_{j,k} fill an (m+1) x (m+1) system
+    ``alphas`` holds one point strictly inside each hole.  The data
+    log|eta - alpha_k| of the m plates form one (m, ntot) block, solved
+    through the integral equation in a single ``solve_bie`` call (one
+    Krylov space for all plates), and the resulting piecewise constants
+    h_{j,k} fill an (m+1) x (m+1) system
 
         sum_k h_{j,k} a_k + c = (0 on the circle, 1 on every plate)
 
@@ -122,11 +124,8 @@ def charges_from_boundary(bp, alphas):
     m = bp.m
     theta = np.full(m + 1, HALF_PI)  # makes A(t) = eta(t) - alpha
     ks = KernelSet(bp, theta)
-    H = np.empty((m + 1, m))
-    for k in range(m):
-        gamma_k = np.log(np.abs(bp.flat_eta - alphas[k]))
-        sol = solve_bie(ks, gamma_k)
-        H[:, k] = sol.h
+    gammas = np.log(np.abs(bp.flat_eta[None, :] - np.asarray(alphas)[:, None]))
+    H = solve_bie(ks, gammas).h.T
     system = np.hstack([H, np.ones((m + 1, 1))])
     rhs = np.concatenate([[0.0], np.ones(m)])
     try:

@@ -325,8 +325,10 @@ class BoundaryParametrization:
         return self.eta_dot.reshape(-1)
 
     def split(self, flat_values):
-        """View a flat length-(m+1)n vector as per-component rows."""
-        return np.asarray(flat_values).reshape(self.m + 1, self.n)
+        """View a flat length-(m+1)n vector as per-component rows; leading
+        axes (a block of such vectors) are kept."""
+        flat_values = np.asarray(flat_values)
+        return flat_values.reshape(flat_values.shape[:-1] + (self.m + 1, self.n))
 
 
 def pairwise_differences(nodes, targets):

