@@ -110,7 +110,7 @@ def charges_from_boundary(bp, alphas):
     """Plate charges on a fixed smooth geometry (step 2).
 
     ``alphas`` holds one point strictly inside each hole.  The data
-    log|eta - alpha_k| of the m plates form one (m, ntot) block, solved
+    log|eta - alpha_k| of the m plates form one (m, m+1, n) block, solved
     through the integral equation in a single ``solve_bie`` call (one
     Krylov space for all plates), and the resulting piecewise constants
     h_{j,k} fill an (m+1) x (m+1) system
@@ -124,7 +124,7 @@ def charges_from_boundary(bp, alphas):
     m = bp.m
     theta = np.full(m + 1, HALF_PI)  # makes A(t) = eta(t) - alpha
     ks = KernelSet(bp, theta)
-    gammas = np.log(np.abs(bp.flat_eta[None, :] - np.asarray(alphas)[:, None]))
+    gammas = np.log(np.abs(bp.eta - np.asarray(alphas)[:, None, None]))
     H = solve_bie(ks, gammas).h.T
     system = np.hstack([H, np.ones((m + 1, 1))])
     rhs = np.concatenate([[0.0], np.ones(m)])

@@ -111,7 +111,11 @@ def trig_interp_maximizer(samples, sign=1.0):
     _check_pow2(n)
     c = np.fft.fft(u) / n
     k = np.fft.fftfreq(n, d=1.0 / n)
-    k[n // 2] = 0.0
+    # the Nyquist mode is c_{n/2} cos((n/2) t), as in trig_interp: half its
+    # coefficient at each of the wavenumbers -n/2 and +n/2
+    c[n // 2] *= 0.5
+    c = np.append(c, c[n // 2])
+    k = np.append(k, n // 2)
     c1 = c * (1j * k)
     c2 = c1 * (1j * k)
     i0 = int(np.argmax(sign * u))
@@ -130,7 +134,7 @@ def trig_interp_maximizer(samples, sign=1.0):
         if abs(du) < 1e-15 * scale:
             break
     ph = np.exp(1j * k * t)
-    val = (c @ ph).real + 0.0  # Nyquist already zeroed in k
+    val = (c @ ph).real
     return t % (2.0 * np.pi), val
 
 
@@ -323,12 +327,6 @@ class BoundaryParametrization:
     @property
     def flat_eta_dot(self):
         return self.eta_dot.reshape(-1)
-
-    def split(self, flat_values):
-        """View a flat length-(m+1)n vector as per-component rows; leading
-        axes (a block of such vectors) are kept."""
-        flat_values = np.asarray(flat_values)
-        return flat_values.reshape(flat_values.shape[:-1] + (self.m + 1, self.n))
 
 
 def pairwise_differences(nodes, targets):

@@ -104,22 +104,33 @@ class KernelSet:
         )
         self._w = 2.0 * np.pi / bp.n
 
-    def apply_M(self, x):
-        """Discretized singular operator: trapezoidal M1 plus cot convolution.
-
-        ``x`` is one vector (ntot,) or a block (k, ntot) of them, one per row.
-        """
+    def _flat(self, x):
+        """``x`` as float, and as one flat length-(m+1)n row per set of
+        boundary values; any trailing shape but (m+1, n) raises ValueError,
+        since the cot convolution would run across component boundaries."""
         x = np.asarray(x, dtype=float)
-        out = self._w * (x @ self.M1.T)
-        out += singular_cot_part(self.bp.split(x)).reshape(x.shape)
+        rows = (self.bp.m + 1, self.bp.n)
+        if x.shape[-2:] != rows:
+            raise ValueError(
+                f"boundary values must have shape (..., {rows[0]}, {rows[1]}), "
+                f"got {x.shape}"
+            )
+        return x, x.reshape(x.shape[:-2] + (-1,))
+
+    def apply_M(self, x):
+        """Discretized singular operator: trapezoidal M1 plus cot convolution,
+        on values of shape (m+1, n) or a block (k, m+1, n) of them."""
+        x, flat = self._flat(x)
+        out = (self._w * (flat @ self.M1.T)).reshape(x.shape)
+        out += singular_cot_part(x)
         return out
 
     def apply_I_minus_N(self, x):
-        """(I - N) x for one vector (ntot,) or each row of a block (k, ntot)."""
-        x = np.asarray(x, dtype=float)
-        # a 1-D x makes the same GEMV as N @ x; for a block, x @ N.T took
-        # 19 ms against 24 ms for (N @ x.T).T at ntot=5120, k=4 on 2 cores
-        return x - self._w * (x @ self.N.T)
+        """(I - N) x for values of shape (m+1, n) or a block (k, m+1, n)."""
+        x, flat = self._flat(x)
+        # for a block, x @ N.T took 19 ms against 24 ms for (N @ x.T).T at
+        # ntot=5120, k=4 on 2 cores
+        return (flat - self._w * (flat @ self.N.T)).reshape(x.shape)
 
 
 def singular_cot_part(rows):

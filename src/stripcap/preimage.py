@@ -32,7 +32,7 @@ class IterationConfig:
 
     n: int = 1024
     r: float = 0.2
-    eps: float = 1e-14
+    eps: float = 1e-11
     max_iter: int = 100
 
     def __post_init__(self):

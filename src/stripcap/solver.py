@@ -16,7 +16,7 @@ KRYLOV_BUDGET = 400
 class SolverStats:
     """Krylov iterations and their relative residual norms, shared by every
     right-hand side of a solve; ``residual`` is max|rhs - (I-N) rho|, a
-    float for one right-hand side and one entry per row for a block."""
+    float for one right-hand side and an array of k for a block of k."""
 
     iterations: int
     residual: object
@@ -30,9 +30,9 @@ class BieSolution:
     ``h`` holds the per-component means of the field [M rho - (I-N) gamma]/2
     and ``h_dev`` the per-component standard deviations of that field --
     the cheapest end-to-end consistency monitor the pipeline has.  For
-    ``gamma`` of shape (ntot,), ``rho`` has shape (ntot,) and ``h``,
-    ``h_dev`` shape (m+1,); a block ``gamma`` of shape (k, ntot) gives each
-    of them a leading axis of length k.
+    ``gamma`` of shape (m+1, n), ``rho`` has shape (m+1, n) and ``h``,
+    ``h_dev`` shape (m+1,); a block ``gamma`` of shape (k, m+1, n) gives
+    each of them a leading axis of length k.
     """
 
     rho: np.ndarray
@@ -125,12 +125,13 @@ def solve_bie(ks, gamma):
     """Solve (I - N) rho = -M gamma by restart-free GMRES, matrix-free, and
     read off the piecewise constants h of the field [M rho - (I-N) gamma]/2.
 
-    ``gamma`` has shape (ntot,), or (k, ntot) for k right-hand sides that
-    share one Krylov space: GMRES runs on the stacked system
-    diag(I-N, ..., I-N), so each iteration costs one product of N with a
-    (ntot x k) block (global GMRES).  Each row is scaled by the power of two
-    nearest its norm, which is exact, so the joint tolerance holds every
-    row alike and one right-hand side keeps the arithmetic of a 1-D solve.
+    ``gamma`` holds boundary values in component rows, shape (m+1, n), or is
+    a block (k, m+1, n) of k right-hand sides that share one Krylov space:
+    GMRES runs on the stacked system diag(I-N, ..., I-N), so each iteration
+    costs one product of N with a (ntot x k) block (global GMRES).  Each
+    right-hand side is scaled by the power of two nearest its norm, which is
+    exact, so the joint tolerance holds every one alike and a block of one
+    keeps the arithmetic of a single solve.
 
     GMRES runs to the relative residual ``TOL`` within ``KRYLOV_BUDGET``
     iterations.  A second pass starts from the first pass's iterate and runs
@@ -138,32 +139,30 @@ def solve_bie(ks, gamma):
     digit a Krylov basis can lose to rounding.  ``stats.iterations`` and
     ``stats.history`` count the Krylov iterations of both passes; a solve
     costs those plus two ``I-N`` products (the true residual and the field).
-    The solve fails, with ConvergenceError naming the row and carrying the
-    residual history, when a row's true residual misses
-    ``10 * TOL * max|rhs|`` of that row.  The theory makes the field exactly
+    The solve fails, with ConvergenceError naming the right-hand side and
+    carrying the residual history, when one's true residual misses
+    ``10 * TOL * max|rhs|`` of its own.  The theory makes the field exactly
     constant on each component, so ``h_dev`` is pure discretization/solver
     noise.
     """
     gamma = np.asarray(gamma, dtype=float)
-    ntot = ks.bp.flat_eta.size
-    if gamma.ndim not in (1, 2) or gamma.shape[-1] != ntot:
+    rows = (ks.bp.m + 1, ks.bp.n)
+    if gamma.ndim not in (2, 3) or gamma.shape[-2:] != rows:
         raise ValueError(
-            f"right-hand data must have shape ({ntot},) or (k, {ntot}), "
-            f"got {gamma.shape}"
+            f"right-hand data must have shape {rows} or (k, {rows[0]}, "
+            f"{rows[1]}), got {gamma.shape}"
         )
     if not np.all(np.isfinite(gamma)):
         raise ValueError("right-hand data contains non-finite values")
-    k = gamma.size // ntot
-    # a single row runs on 1-D arrays, so its products stay matrix-vector ones
-    data = gamma.reshape(ntot) if k == 1 else gamma
-    rhs = -ks.apply_M(data).reshape(k, ntot)
+    # the Krylov vectors hold one flat row per right-hand side
+    rhs = -ks.apply_M(gamma).reshape(-1, ks.bp.eta.size)
     norms = np.linalg.norm(rhs, axis=1)
-    exps = np.zeros((k, 1), dtype=int)
+    exps = np.zeros((rhs.shape[0], 1), dtype=int)
     exps[norms > 0, 0] = np.rint(np.log2(norms[norms > 0]))
     b = np.ldexp(rhs, -exps).reshape(-1)
 
     def matvec(z):
-        return ks.apply_I_minus_N(z.reshape(data.shape)).reshape(-1)
+        return ks.apply_I_minus_N(z.reshape(gamma.shape)).reshape(-1)
 
     history = []
     x = np.zeros_like(b)
@@ -177,31 +176,27 @@ def solve_bie(ks, gamma):
         if np.linalg.norm(r) <= atol:
             break
         x, r = _gmres_pass(matvec, b, x, r, ptol, history)
-    rho = np.ldexp(x.reshape(k, ntot), exps)
-    residual = np.abs(np.ldexp(r.reshape(k, ntot), exps)).max(axis=1)
+    rho = np.ldexp(x.reshape(rhs.shape), exps).reshape(gamma.shape)
+    residual = np.abs(np.ldexp(r.reshape(rhs.shape), exps)).max(axis=1)
     target = 10.0 * TOL * np.abs(rhs).max(axis=1)
     missed = np.flatnonzero(residual > target)
+    block = gamma.ndim == 3
     if missed.size:
         row = missed[0]
-        where = "" if gamma.ndim == 1 else f" on right-hand side {row}"
+        where = f" on right-hand side {row}" if block else ""
         raise ConvergenceError(
             f"GMRES stalled{where}: residual {residual[row]:.3e} after "
             f"{len(history)} iterations (target {target[row]:.3e})",
             history=history,
         )
-    field = 0.5 * (ks.apply_M(rho.reshape(data.shape)) - ks.apply_I_minus_N(data))
-    rows = ks.bp.split(field.reshape(k, ntot))
-    shape = gamma.shape[:-1]
+    field = 0.5 * (ks.apply_M(rho) - ks.apply_I_minus_N(gamma))
     stats = SolverStats(
         iterations=len(history),
-        residual=float(residual[0]) if gamma.ndim == 1 else residual,
+        residual=residual if block else float(residual[0]),
         history=history,
     )
     return BieSolution(
-        rho=rho.reshape(gamma.shape),
-        h=rows.mean(axis=-1).reshape(shape + (-1,)),
-        h_dev=rows.std(axis=-1).reshape(shape + (-1,)),
-        stats=stats,
+        rho=rho, h=field.mean(axis=-1), h_dev=field.std(axis=-1), stats=stats
     )
 
 

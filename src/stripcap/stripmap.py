@@ -39,15 +39,16 @@ def _near_poles(w):
 
 
 def strip_gamma(bp, theta):
-    """Right-hand data for the slit-strip map: 0 on the circle, the
-    rotated height Im[e^{-i theta_j} psi(eta)] on each hole boundary."""
+    """Right-hand data for the slit-strip map, shape (m+1, n): 0 on the
+    circle, the rotated height Im[e^{-i theta_j} psi(eta)] on each hole
+    boundary."""
     theta = np.asarray(theta, dtype=float)
     gamma = np.zeros((bp.m + 1, bp.n))
     for j in range(1, bp.m + 1):
         if _near_poles(bp.eta[j]).any():
             raise GeometryError(f"inner curve {j} touches the branch points +-1")
         gamma[j] = (np.exp(-1j * theta[j]) * psi(bp.eta[j])).imag
-    return gamma.reshape(-1)
+    return gamma
 
 
 class MapData:
@@ -99,12 +100,7 @@ class MapData:
     def eval(self, points):
         """Forward map Phi at strictly interior points of G."""
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        fvals = cauchy_eval(
-            self.bp.flat_eta,
-            self.bp.flat_eta_dot,
-            self.f_boundary.reshape(-1),
-            pts,
-        )
+        fvals = cauchy_eval(self.bp.eta, self.bp.eta_dot, self.f_boundary, pts)
         out = self._affine(pts, fvals) + psi(pts)
         return out if np.asarray(points).ndim else complex(out[0])
 
@@ -115,10 +111,7 @@ def build_map(bp, theta):
     ks = KernelSet(bp, theta)
     gamma = strip_gamma(bp, theta)
     sol = solve_bie(ks, gamma)
-    h_nodes = np.repeat(sol.h, bp.n)
-    f_boundary = bp.split(
-        (gamma + h_nodes + 1j * sol.rho) / ks.A.reshape(-1)
-    )
+    f_boundary = (gamma + sol.h[:, None] + 1j * sol.rho) / ks.A
     # eta_0(n/4) = e^{i pi/2} = i exactly: f(i) is a boundary node value
     f_at_i = complex(f_boundary[0, bp.n // 4])
     return MapData(bp, theta, ks.alpha, sol, f_boundary, f_at_i)
@@ -169,11 +162,6 @@ def inverse_map(md, points):
     zt = psi_inv(pts)
     inside = winding_number(md.zeta_tilde[0], zt) == 1
     vals = np.full(pts.shape, complex(np.nan, np.nan))
-    vals[inside] = cauchy_eval(
-        md.zeta_tilde.reshape(-1),
-        md.zeta_tilde_dot.reshape(-1),
-        md.bp.flat_eta,
-        zt[inside],
-    )
+    vals[inside] = cauchy_eval(md.zeta_tilde, md.zeta_tilde_dot, md.bp.eta, zt[inside])
     return vals if pts_in.ndim else complex(vals[0])
 

@@ -47,7 +47,7 @@ def pytest_terminal_summary(terminalreporter):
 def one_slit_pre():
     """Converged preimage of the strip minus [-0.5i, 0.5i] at n=256."""
     dom = sc.StripSlitDomain([sc.SlitSpec(-0.5j, 0.5j)])
-    pre = sc.iterate(dom, sc.IterationConfig(n=256, r=0.2))
+    pre = sc.iterate(dom, sc.IterationConfig(n=256, r=0.2, eps=1e-14))
     assert pre.converged
     return pre
 

@@ -72,7 +72,7 @@ def test_solve_counters_read_result():
     # the solve's result
     t = 2 * np.pi * np.arange(32) / 32
     bp = BoundaryParametrization(np.exp(1j * t)[None, :], 1j * np.exp(1j * t)[None, :])
-    sol = solve_bie(KernelSet(bp, np.array([np.pi / 2])), np.cos(3 * t))
+    sol = solve_bie(KernelSet(bp, np.array([np.pi / 2])), np.cos(3 * t)[None])
     assert sol.stats.iterations >= 1
     assert sol.h_dev.shape == (1,)
     for _, _, _, getter in LAYERS["COUNTERS"]["solver.solve"]:

@@ -260,7 +260,7 @@ class TestCommands:
         # one warning per converged=0 row, in table order
         study = dict(family="random_horizontal", m=3, count=3, seed=4, box_height=0.5)
         path = write_problem(tmp_path, {"slits": SMALL["slits"], "study": study})
-        proc = run_cli(["study", "--input", path, "--n", "64"])
+        proc = run_cli(["study", "--input", path, "--n", "64", "--eps", "1e-14"])
         assert proc.returncode == 0
         rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
         failed = [param for param, _, converged, _ in rows if converged == "0"]

@@ -82,6 +82,17 @@ class TestTrigTools:
         assert u_lo == pytest.approx(2.0, abs=1e-13)
         assert t_hi % (2 * np.pi) == pytest.approx(1.234, abs=1e-10)
 
+    def test_maximizer_nyquist_mode(self):
+        # the Nyquist mode is the cosine trig_interp takes it for, not a
+        # constant: the maximum of cos(t - pi/8) - 0.3 cos(8t) is 1.3
+        n = 16
+        t = 2 * np.pi * np.arange(n) / n
+        f = np.cos(t - 2 * np.pi / n) - 0.3 * np.cos(8 * t)
+        t_hi, u_hi = trig_interp_maximizer(f, sign=+1.0)
+        assert t_hi == pytest.approx(2 * np.pi / n, abs=1e-12)
+        assert u_hi == pytest.approx(1.3, abs=1e-13)
+        assert u_hi == pytest.approx(trig_interp(f, [t_hi])[0].real, abs=1e-14)
+
     def test_maximizer_multimodal(self):
         n = 128
         t = 2 * np.pi * np.arange(n) / n
@@ -278,12 +289,6 @@ class TestPreimageBoundary:
         assert bp.n == 64
         assert np.abs(np.abs(bp.eta[0]) - 1.0).max() < 1e-14
         assert np.abs(bp.eta[1]).max() < 1.0
-
-    def test_split_round_trip(self):
-        params = [sc.EllipseParams(z=0.4j, a=0.6, theta=0.2, r=0.2)]
-        bp = sc.build_preimage_boundary(params, 64)
-        flat = np.arange(bp.eta.size, dtype=float)
-        assert np.array_equal(bp.split(flat).reshape(-1), flat)
 
     def test_overlapping_ellipses_rejected(self):
         crossing = [

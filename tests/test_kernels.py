@@ -23,9 +23,9 @@ def two_component_bp(n=128):
     return sc.build_preimage_boundary(params, n)
 
 
-def flat_nodes(bp):
-    """The parameter t of every node, component after component."""
-    return np.tile(2 * np.pi * np.arange(bp.n) / bp.n, bp.m + 1)
+def node_params(bp):
+    """The parameter t of every node, in component rows."""
+    return np.tile(2 * np.pi * np.arange(bp.n) / bp.n, (bp.m + 1, 1))
 
 
 class TestClosedForms:
@@ -107,7 +107,7 @@ class TestConjugation:
         ks = KernelSet(bp, theta=[np.pi / 2])
         t = 2 * np.pi * np.arange(n) / n
         gamma = np.exp(np.cos(t)) * np.sin(t + 0.3)
-        got = ks.apply_M(gamma)
+        got = ks.apply_M(gamma[None])[0]
         h = 2 * np.pi / n
         t_off = t + 0.5 * h  # offset nodes never hit the singularity
         gamma_off = np.exp(np.cos(t_off)) * np.sin(t_off + 0.3)
@@ -149,10 +149,17 @@ class TestConjugation:
         eta_off, eta_dot_off = boundary(t_off)
         phase = np.exp(1j * (0.5 * np.pi - theta))
         A_off = phase[:, None] * (eta_off - alpha)
-        gamma = np.cos(np.tile(t, 2)) + 0.5 * np.sin(2 * np.tile(t, 2))
-        gamma_off = np.cos(np.tile(t_off, 2)) + 0.5 * np.sin(
-            2 * np.tile(t_off, 2)
-        )
+
+        def data(tq):
+            # unlike signals on the two components: a cot convolution run
+            # across the whole vector, not per component, misses the oracle
+            return np.vstack([
+                np.cos(tq) + 0.5 * np.sin(2 * tq),
+                np.exp(np.sin(tq)) - 0.3 * np.cos(3 * tq),
+            ])
+
+        gamma = data(t)
+        gamma_off = data(t_off).reshape(-1)
         flat_eta_off = eta_off.reshape(-1)
         flat_dot_off = eta_dot_off.reshape(-1)
         flat_A_off = A_off.reshape(-1)
@@ -164,7 +171,7 @@ class TestConjugation:
                 A_s[i] / flat_A_off * flat_dot_off / (flat_eta_off - eta_s[i])
             ).real / np.pi
             brute[i] = (kern * gamma_off).sum() * h
-        got = ks.apply_M(gamma)
+        got = ks.apply_M(gamma).reshape(-1)
         assert np.abs(got - brute).max() < 1e-8
 
 
@@ -175,7 +182,7 @@ class TestOperators:
         stored diagonal (rules out indexing/transposition mistakes)."""
         bp = two_component_bp(64)
         ks = KernelSet(bp, theta=[np.pi / 2, 0.1])
-        x = np.cos(2 * flat_nodes(bp))
+        x = np.cos(2 * node_params(bp))
         eta = bp.flat_eta
         dot = bp.flat_eta_dot
         A = ks.A.reshape(-1)
@@ -187,8 +194,19 @@ class TestOperators:
             row[i] = ks.N[i, i]
             Nref[i] = row
         assert np.abs(ks.N - Nref).max() < 1e-13
-        ref = (2 * np.pi / bp.n) * (Nref @ x)
-        assert np.abs(x - ks.apply_I_minus_N(x) - ref).max() < 1e-12
+        ref = (2 * np.pi / bp.n) * (Nref @ x.reshape(-1))
+        assert np.abs((x - ks.apply_I_minus_N(x)).reshape(-1) - ref).max() < 1e-12
+
+    def test_shape_checked(self):
+        # a flat vector, too few component rows and a (k, ntot) block are
+        # all rejected by name of the expected (m+1, n) = (2, 64)
+        bp = two_component_bp(64)
+        ks = KernelSet(bp, theta=[np.pi / 2, 0.1])
+        flat = np.cos(node_params(bp)).reshape(-1)
+        for bad in (flat, flat[:64][None], np.stack([flat] * 3)):
+            for apply in (ks.apply_M, ks.apply_I_minus_N):
+                with pytest.raises(ValueError, match=r"shape \(\.\.\., 2, 64\)"):
+                    apply(bad)
 
 
 class TestAssembly:
@@ -197,9 +215,9 @@ class TestAssembly:
         ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]))
         assert np.all(np.isfinite(ks.N))
         assert np.all(np.isfinite(ks.M1))
-        x = np.cos(3 * flat_nodes(bp))
-        direct = x - ks.N @ x * (2 * np.pi / 64)
-        assert np.abs(ks.apply_I_minus_N(x) - direct).max() < 1e-12
+        x = np.cos(3 * node_params(bp))
+        direct = x.reshape(-1) - ks.N @ x.reshape(-1) * (2 * np.pi / 64)
+        assert np.abs(ks.apply_I_minus_N(x).reshape(-1) - direct).max() < 1e-12
 
     def test_M1_oracle_against_direct_formula(self):
         """Off the diagonal M1 is Re C plus cot((t_i - t_j)/2)/(2 pi) within
@@ -207,7 +225,7 @@ class TestAssembly:
         bp = two_component_bp(64)
         ks = KernelSet(bp, theta=[np.pi / 2, 0.1])
         eta, dot, A = bp.flat_eta, bp.flat_eta_dot, ks.A.reshape(-1)
-        t, comp = flat_nodes(bp), np.arange(bp.eta.size) // bp.n
+        t, comp = node_params(bp).reshape(-1), np.arange(bp.eta.size) // bp.n
         for i in (0, 5, 63, 64, 100):
             off = np.arange(bp.eta.size) != i
             ref = (A[i] / A[off] * dot[off] / (eta[off] - eta[i])).real / np.pi

@@ -126,7 +126,7 @@ class TestIterate:
     def test_result_carries_domain(self, one_slit_pre):
         assert isinstance(one_slit_pre, PreimageResult)
         assert one_slit_pre.omega is not None
-        assert one_slit_pre.cfg == IterationConfig(n=256, r=0.2)
+        assert one_slit_pre.cfg == IterationConfig(n=256, r=0.2, eps=1e-14)
         assert one_slit_pre.map.m == 1
 
 

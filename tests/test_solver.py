@@ -26,7 +26,8 @@ def circle_bp(n=128):
     t = 2 * np.pi * np.arange(n) / n
     eta = np.exp(1j * t)[None, :]
     eta_dot = 1j * np.exp(1j * t)[None, :]
-    return BoundaryParametrization(eta, eta_dot), t
+    # t in a component row, the shape of boundary data
+    return BoundaryParametrization(eta, eta_dot), t[None, :]
 
 
 def four_slit_system(n=128):
@@ -87,7 +88,7 @@ class TestSolveRho:
             np.vstack([1j * np.exp(1j * t), hd]),
         )
         ks = KernelSet(bp, np.array([np.pi / 2, np.pi / 2]))
-        gamma = np.log(np.abs(bp.flat_eta - 0.3))
+        gamma = np.log(np.abs(bp.eta - 0.3))
         with pytest.raises(ConvergenceError) as exc:
             solve_bie(ks, gamma)
         assert len(exc.value.history) >= 1
@@ -142,8 +143,11 @@ class TestSolveRho:
         import stripcap.solver as solver
 
         ks, gamma = four_slit_system()
-        rhs = -ks.apply_M(gamma)
-        op = linalg.LinearOperator(ks.N.shape, matvec=ks.apply_I_minus_N, dtype=float)
+        rhs = -ks.apply_M(gamma).reshape(-1)
+        op = linalg.LinearOperator(
+            ks.N.shape, dtype=float,
+            matvec=lambda z: ks.apply_I_minus_N(z.reshape(gamma.shape)).reshape(-1),
+        )
         history = []
         ref, _ = linalg.gmres(
             op, rhs, rtol=solver.TOL, atol=0.0,
@@ -152,18 +156,18 @@ class TestSolveRho:
         )
         sol = solve_bie(ks, gamma)
         assert sol.stats.iterations == len(history)
-        assert np.abs(sol.rho - ref).max() <= 1e-14 * np.abs(ref).max()
+        assert np.abs(sol.rho.reshape(-1) - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestBlockSolve:
-    """Rows of a (k, ntot) gamma share one Krylov space."""
+    """The right-hand sides of a (k, m+1, n) gamma share one Krylov space."""
 
     @staticmethod
     def block_system():
         # the strip-map data plus the capacity data of two plates, on the
         # four-slit initial ellipses
         ks, gamma = four_slit_system()
-        eta = ks.bp.flat_eta
+        eta = ks.bp.eta
         rows = [gamma, np.log(np.abs(eta - ks.bp.eta[1].mean())),
                 np.log(np.abs(eta - ks.bp.eta[3].mean()))]
         return ks, np.array(rows)
@@ -183,7 +187,7 @@ class TestBlockSolve:
         ks, gamma = four_slit_system()
         single = solve_bie(ks, gamma)
         block = solve_bie(ks, gamma[None, :])
-        assert block.rho.shape == (1, gamma.size)
+        assert block.rho.shape == (1,) + gamma.shape
         assert block.h.shape == (1, ks.bp.m + 1)
         assert np.array_equal(block.rho[0], single.rho)
         assert np.array_equal(block.h[0], single.h)
@@ -197,7 +201,8 @@ class TestBlockSolve:
         ks, gammas = self.block_system()
         gammas = gammas[:2]
         rhs = -ks.apply_M(gammas)
-        gammas *= np.array([[1.0], [1e-8]]) / np.linalg.norm(rhs, axis=1)[:, None]
+        scale = np.array([1.0, 1e-8]) / np.linalg.norm(rhs.reshape(2, -1), axis=1)
+        gammas *= scale[:, None, None]
         sol = solve_bie(ks, gammas)
         rhs = -ks.apply_M(gammas)
         for k in range(2):
@@ -223,9 +228,13 @@ class TestBlockSolve:
         assert len(exc.value.history) == 4
 
     def test_shape_checked(self):
+        # a flat vector, too few component rows and a (k, ntot) block are
+        # all rejected by name of the expected (m+1, n) = (5, 64)
         ks, gamma = four_slit_system(64)
-        for bad in (gamma[:-1], gamma.reshape(1, 1, -1), gamma.reshape(-1, 2)):
-            with pytest.raises(ValueError, match="shape"):
+        flat = gamma.reshape(-1)
+        for bad in (flat, gamma[:-1], np.stack([flat] * 3),
+                    gamma.reshape(1, 1, -1), gamma.reshape(-1, 2)):
+            with pytest.raises(ValueError, match=r"shape \(5, 64\)"):
                 solve_bie(ks, bad)
 
 

@@ -98,7 +98,7 @@ class TestHelpers:
         bp = four_slit_pre.map.bp
         theta = np.concatenate([[0.0], [s.theta for s in four_slit_pre.omega.slits]])
         gam = strip_gamma(bp, theta)
-        assert gam.shape == (bp.flat_eta.size,)
+        assert gam.shape == (bp.m + 1, bp.n)
         assert np.all(np.isfinite(gam))
 
     def test_default_alpha_interior(self, four_slit_pre):
