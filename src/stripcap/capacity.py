@@ -204,6 +204,8 @@ def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
         raise ValueError(f"study.m must be >= 1, got {m}")
     if count < 0:
         raise ValueError(f"study.count must be >= 0, got {count}")
+    if not 0.0 <= box_height < np.inf:
+        raise ValueError(f"study.box_height must be finite and >= 0, got {box_height}")
     rng = np.random.default_rng(seed)
     half = 1.0 / m
     layouts = []

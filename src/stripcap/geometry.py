@@ -103,8 +103,8 @@ def trig_interp_maximizer(samples, sign=1.0):
     Starts from the grid arg-extremum and polishes with at most 30 Newton
     steps on the spectral derivative; returns (t_star, value).  ``sign=+1``
     finds the maximum, ``sign=-1`` the minimum.  Grid-level quadratic refinement alone
-    leaves an O(h^4) bias in the extremum value, far above the 1e-14
-    self-consistency the preimage iteration targets, hence the Newton polish.
+    leaves an O(h^4) bias in the extremum value, far above the preimage
+    iteration's eps (1e-11 by default), hence the Newton polish.
     """
     u = np.asarray(samples, dtype=float)
     n = u.shape[0]

@@ -19,7 +19,7 @@ from .geometry import EllipseParams, build_preimage_boundary
 from .stripmap import build_map, extract_slit_images
 
 # n=128 resolves the four-slit and channel geometries (first-solve h_dev
-# 3.4e-15 and 2.4e-11); where it does not, one solve there costs 0.15 s
+# 3.4e-15 and 2.4e-11); each coarse level that does not costs one first solve
 LADDER_START = 128
 # the geometric middle of criterion 3's first-solve h_dev at n=128 (7.1e-5)
 # and the crowded pair's at every n <= 512 (1.5e-3 and above)
@@ -105,24 +105,19 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
     """Run the fixed-point iteration until the mismatch drops below eps.
 
     The run climbs the doubling ladder n0 = min(cfg.n, LADDER_START), 2 n0,
-    ..., cfg.n from ``initialize``, and each level starts from the
-    parameters the level below converged to.  A coarse level that does not
-    resolve the geometry (the largest ``h_dev`` of its first solve reaches
-    RESOLVED_H_DEV, it misses eps, or it raises GeometryError or
-    ConvergenceError) ends the climb, and cfg.n starts over from
-    ``initialize``.  ``max_iter`` caps each level, and the top level alone
-    decides ``converged``.
+    ..., cfg.n, and each level starts from the parameters of the last
+    resolved level below it, or from ``initialize`` while none has
+    resolved.  A coarse level that does not resolve the geometry (the
+    largest ``h_dev`` of its first solve reaches RESOLVED_H_DEV, it misses
+    eps, or it raises GeometryError or ConvergenceError) hands nothing up.
+    ``max_iter`` caps each level, and the top level alone decides
+    ``converged``.
 
     ``progress``, when given, receives one dict per outer step (k counted
     over all levels, n, error, gmres_iters, elapsed_ms).  Returns the full
     history whether or not the tolerance was met.
     """
     params = initialize(omega, cfg)
-    coarse = []
-    n = min(cfg.n, LADDER_START)
-    while n < cfg.n:
-        coarse.append(n)
-        n *= 2
     result = PreimageResult(
         params=list(params),
         map=None,
@@ -134,15 +129,14 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
         cfg=cfg,
     )
     start = params
-    for n in coarse:
+    n = min(cfg.n, LADDER_START)
+    while n < cfg.n:
         try:
-            resolved = _run_level(result, start, n, progress, coarse=True)
+            if _run_level(result, start, n, progress, coarse=True):
+                start = result.params
         except (GeometryError, ConvergenceError):  # OverlapError is a GeometryError
-            resolved = False
-        if not resolved:
-            start = params
-            break
-        start = result.params
+            pass  # unresolved, like a level that returns False
+        n *= 2
     result.converged = _run_level(result, start, cfg.n, progress)
     return result
 
@@ -151,8 +145,8 @@ def _run_level(result, params, n, progress, coarse=False):
     """Up to ``max_iter`` outer steps at n from ``params``, appended to the
     histories of ``result``; leaves the last solved parameters and map in
     it and the level in ``result.levels``, also when a step raises.
-    Returns whether the level met eps.  A coarse level whose first solve's
-    largest ``h_dev`` reaches RESOLVED_H_DEV stops there and returns False.
+    Returns whether the level resolved: it met eps, and a coarse level's
+    first solve had a largest ``h_dev`` below RESOLVED_H_DEV (else it stops).
     """
     omega, cfg = result.omega, result.cfg
     targets_c = np.array([s.c for s in omega.slits])

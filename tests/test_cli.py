@@ -260,7 +260,11 @@ class TestCommands:
         # one warning per converged=0 row, in table order
         study = dict(family="random_horizontal", m=3, count=3, seed=4, box_height=0.5)
         path = write_problem(tmp_path, {"slits": SMALL["slits"], "study": study})
-        proc = run_cli(["study", "--input", path, "--n", "64", "--eps", "1e-14"])
+        # max_iter=2 makes the first sample's miss certain: at eps=1e-14,
+        # on n=64's rounding floor, 100 steps converge or not by luck
+        proc = run_cli(
+            ["study", "--input", path, "--n", "64", "--eps", "1e-14", "--max-iter", "2"]
+        )
         assert proc.returncode == 0
         rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
         failed = [param for param, _, converged, _ in rows if converged == "0"]
@@ -295,6 +299,15 @@ class TestCommands:
             ({"family": "random_horizontal", "m": 0}, [], "study.m"),
             ({"family": "random_horizontal", "m": -1}, [], "study.m"),
             ({"family": "random_horizontal", "count": -1}, [], "study.count"),
+            ({"family": "random_horizontal", "box_height": -0.5}, [], "study.box_height"),
+            (
+                {"family": "random_horizontal", "box_height": float("nan")}, [],
+                "study.box_height",
+            ),
+            (
+                {"family": "random_horizontal", "box_height": float("inf")}, [],
+                "study.box_height",
+            ),
             (
                 {"family": "two_vertical", "values": [0]}, [],
                 "slits 0 and 1 are not disjoint",
@@ -308,7 +321,8 @@ class TestCommands:
             ({"values": [1.0]}, [], "study.family"),
         ],
         ids=[
-            "m-0", "m-neg", "count-neg", "two-vertical-x0", "value", "no-values",
+            "m-0", "m-neg", "count-neg", "box-height-neg", "box-height-nan",
+            "box-height-inf", "two-vertical-x0", "value", "no-values",
             "count-on-sweep", "cuont", "seed-on-sweep", "unknown-family", "no-family",
         ],
     )

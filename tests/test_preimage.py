@@ -154,9 +154,22 @@ class TestLadder:
         cap, cap_cold = self.capacity_of(res), self.capacity_of(cold)
         assert abs(cap - cap_cold) <= 1e-13 * cap_cold
 
-    def test_unresolved_level_ends_the_climb(self, monkeypatch):
+    @staticmethod
+    def fail_at(monkeypatch, n_fail):
+        # build_map raises at one n, so that level counts as unresolved
+        build_map = preimage.build_map
+
+        def failing(bp, theta):
+            if bp.n == n_fail:
+                raise ConvergenceError("stalled")
+            return build_map(bp, theta)
+
+        monkeypatch.setattr(preimage, "build_map", failing)
+
+    def test_unresolved_level_hands_up_nothing(self, monkeypatch):
         # the crowded pair: n=128 does not resolve the 0.02 gap, so its
-        # first solve ends the ladder and n=256 starts cold
+        # first solve ends that level, and n=256, with no resolved level
+        # below it, starts from the initial ellipses
         omega = StripSlitDomain(
             [SlitSpec(-0.01 - 1j, -0.01 + 1j), SlitSpec(0.01 - 1j, 0.01 + 1j)]
         )
@@ -171,17 +184,11 @@ class TestLadder:
         assert res.error_history[1:] == cold.error_history
         assert res.gmres_history[1:] == cold.gmres_history
 
-    def test_failing_level_ends_the_climb(self, monkeypatch):
+    def test_failing_level_hands_up_nothing(self, monkeypatch):
         # a coarse level that raises counts as unresolved: recorded with no
-        # solve, and n=256 starts cold
-        build_map = preimage.build_map
-
-        def fail_at_128(bp, theta):
-            if bp.n == 128:
-                raise ConvergenceError("stalled")
-            return build_map(bp, theta)
-
-        monkeypatch.setattr(preimage, "build_map", fail_at_128)
+        # solve, and n=256, with no resolved level below it, starts from the
+        # initial ellipses
+        self.fail_at(monkeypatch, 128)
         omega = single_slit_domain()
         cfg = IterationConfig(n=256, eps=1e-10)
         res = iterate(omega, cfg)
@@ -192,6 +199,32 @@ class TestLadder:
         monkeypatch.setattr(preimage, "LADDER_START", cfg.n)
         cold = iterate(omega, cfg)
         assert res.error_history == cold.error_history
+
+    def test_climb_goes_on_past_a_failing_first_level(self, monkeypatch):
+        # n=128 raises, so n=256 starts from the initial ellipses and hands
+        # its converged ones up to n=512, as a ladder starting at n=256 does
+        self.fail_at(monkeypatch, 128)
+        omega = single_slit_domain()
+        cfg = IterationConfig(n=512, eps=1e-10)
+        res = iterate(omega, cfg)
+        monkeypatch.undo()
+        assert [(lv.n, lv.steps) for lv in res.levels] == [(128, 0), (256, 8), (512, 1)]
+        assert res.converged
+        monkeypatch.setattr(preimage, "LADDER_START", 256)
+        from_256 = iterate(omega, cfg)
+        assert res.levels[1:] == from_256.levels
+        assert res.error_history == from_256.error_history
+
+    def test_level_starts_from_last_resolved_level_below(self, monkeypatch):
+        # n=256 raises, so n=512 starts from n=128's converged ellipses
+        # rather than from the initial ones, which take 8 steps
+        self.fail_at(monkeypatch, 256)
+        res = iterate(single_slit_domain(), IterationConfig(n=512, eps=1e-10))
+        coarse, failed, top = res.levels
+        assert coarse.n == 128 and coarse.h_dev < RESOLVED_H_DEV
+        assert (failed.n, failed.steps) == (256, 0)
+        assert top.n == 512 and top.steps <= 2
+        assert res.converged
 
     @pytest.mark.parametrize("n", [64, 128])
     def test_one_level_up_to_ladder_start(self, n):
