@@ -68,8 +68,9 @@ def complex_potential(pre, upsilon, points):
     """W(z) on points of the slit strip: forward horizontal-slit map
     composed with the inverse of the original map.
 
-    As in inverse_map, a point outside the strip raises GeometryError and a
-    point inside it beyond the sampled outer boundary gives nan+nanj.
+    As in inverse_map, a non-finite point raises ValueError, a point outside
+    the strip GeometryError, and a point inside it that the sampled outer
+    boundary does not resolve gives nan+nanj.
     """
     pts_in = np.asarray(points, dtype=complex)
     pts = np.atleast_1d(pts_in)

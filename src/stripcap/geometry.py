@@ -65,7 +65,8 @@ def trig_derivative(samples):
     """Spectral derivative of 2*pi-periodic samples on an equidistant grid.
 
     Fourier coefficients are multiplied by ``i*k``; the Nyquist mode is
-    zeroed.  Exact (to rounding) for trigonometric polynomials of degree
+    zeroed, as the derivative of its cosine (see ``_spectrum``) vanishes at
+    every node.  Exact (to rounding) for trigonometric polynomials of degree
     below n/2.
     """
     samples = np.asarray(samples)
@@ -76,66 +77,62 @@ def trig_derivative(samples):
     return np.fft.ifft(np.fft.fft(samples, axis=-1) * (1j * k), axis=-1)
 
 
-def trig_interp(samples, tq):
-    """Evaluate the trigonometric interpolant of ``samples`` at points ``tq``.
+def _spectrum(samples):
+    """Coefficients c and wavenumbers k of the trigonometric interpolant
+    sum_k c_k e^{ikt} of 2*pi-periodic samples on n equidistant nodes.
 
-    The Nyquist coefficient is treated as a pure cosine so real data stay
-    real.  Cost O(n) per query point; used for sub-grid refinement.
+    The Nyquist mode is the cosine c_{n/2} cos((n/2) t), so real data stay
+    real: half its coefficient sits at -n/2 and half at +n/2, and both
+    arrays have n + 1 entries.
     """
     samples = np.asarray(samples)
     n = samples.shape[-1]
     _check_pow2(n)
     c = np.fft.fft(samples) / n
-    tq = np.asarray(tq, dtype=float)
+    c[n // 2] *= 0.5
     k = np.fft.fftfreq(n, d=1.0 / n)
-    # split off the Nyquist mode: c_{n/2} e^{-i(n/2)t} -> c_{n/2} cos((n/2) t)
-    cn = c[n // 2]
-    c = c.copy()
-    c[n // 2] = 0.0
-    ph = np.exp(1j * np.outer(tq, k))
-    vals = ph @ c + cn * np.cos((n // 2) * tq)
-    return vals
+    return np.append(c, c[n // 2]), np.append(k, n // 2)
 
 
-def trig_interp_maximizer(samples, sign=1.0):
-    """Locate an extremum of the trig interpolant of real ``samples``.
+def trig_interp(samples, tq):
+    """Evaluate the trigonometric interpolant of ``samples`` at points ``tq``.
 
-    Starts from the grid arg-extremum and polishes with at most 30 Newton
-    steps on the spectral derivative; returns (t_star, value).  ``sign=+1``
-    finds the maximum, ``sign=-1`` the minimum.  Grid-level quadratic refinement alone
-    leaves an O(h^4) bias in the extremum value, far above the preimage
-    iteration's eps (1e-11 by default), hence the Newton polish.
+    Cost O(n) per query point; used for sub-grid refinement.
+    """
+    c, k = _spectrum(samples)
+    return np.exp(1j * np.outer(np.asarray(tq, dtype=float), k)) @ c
+
+
+def trig_extrema(samples):
+    """Minimum and maximum of the trig interpolant of real ``samples``.
+
+    Each starts from the grid arg-extremum and is polished with at most 30
+    Newton steps on the spectral derivative; returns ((t_min, u_min),
+    (t_max, u_max)).  Grid-level quadratic refinement alone leaves an
+    O(h^4) bias in the extremum value, far above the preimage iteration's
+    eps (1e-11 by default), hence the Newton polish.
     """
     u = np.asarray(samples, dtype=float)
     n = u.shape[0]
-    _check_pow2(n)
-    c = np.fft.fft(u) / n
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    # the Nyquist mode is c_{n/2} cos((n/2) t), as in trig_interp: half its
-    # coefficient at each of the wavenumbers -n/2 and +n/2
-    c[n // 2] *= 0.5
-    c = np.append(c, c[n // 2])
-    k = np.append(k, n // 2)
+    c, k = _spectrum(u)
     c1 = c * (1j * k)
     c2 = c1 * (1j * k)
-    i0 = int(np.argmax(sign * u))
-    t = 2.0 * np.pi * i0 / n
     h = 2.0 * np.pi / n
     scale = max(1.0, np.abs(u).max())
-    for _ in range(30):
-        ph = np.exp(1j * k * t)
-        du = (c1 @ ph).real
-        d2u = (c2 @ ph).real
-        if sign * d2u >= 0.0:
-            break  # left the basin; keep current point
-        step = du / d2u
-        step = np.clip(step, -h, h)
-        t -= step
-        if abs(du) < 1e-15 * scale:
-            break
-    ph = np.exp(1j * k * t)
-    val = (c @ ph).real
-    return t % (2.0 * np.pi), val
+    extrema = []
+    for sign in (-1.0, 1.0):
+        t = 2.0 * np.pi * int(np.argmax(sign * u)) / n
+        for _ in range(30):
+            ph = np.exp(1j * k * t)
+            du = (c1 @ ph).real
+            d2u = (c2 @ ph).real
+            if sign * d2u >= 0.0:
+                break  # left the basin; keep current point
+            t -= np.clip(du / d2u, -h, h)
+            if abs(du) < 1e-15 * scale:
+                break
+        extrema.append((t % (2.0 * np.pi), (c @ np.exp(1j * k * t)).real))
+    return tuple(extrema)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +225,9 @@ class StripSlitDomain:
         slits = tuple(slits)
         if len(slits) < 1:
             raise GeometryError("need at least one slit")
+        for i, s in enumerate(slits):
+            if not isinstance(s, SlitSpec):
+                raise GeometryError(f"slits[{i}] must be a SlitSpec, got {s!r}")
         for i in range(len(slits)):
             for j in range(i + 1, len(slits)):
                 d = segment_distance(

@@ -243,12 +243,15 @@ def cauchy_eval(bnodes, bder, bvalues, points):
     normalized form reproduces constants exactly and sharpens accuracy near
     the boundary.  Points near the boundary are not refined.
 
-    Raises GeometryError when a point sits on the boundary (within 1e-13).
+    Raises ValueError for a non-finite point and GeometryError when a point
+    sits on the boundary (within 1e-13).
     """
     bnodes = np.asarray(bnodes, dtype=complex).reshape(-1)
     bder = np.asarray(bder, dtype=complex).reshape(-1)
     bvalues = np.asarray(bvalues, dtype=complex).reshape(-1)
     pts = np.atleast_1d(np.asarray(points, dtype=complex))
+    if not np.isfinite(pts).all():
+        raise ValueError(f"evaluation points must be finite, got {pts[~np.isfinite(pts)][:3]}")
     num, den, dmin = cauchy_sums(bnodes, bder, bvalues, pts)
     if (dmin < 1e-13).any():
         raise GeometryError("evaluation point lies on the boundary")

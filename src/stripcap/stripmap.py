@@ -24,8 +24,8 @@ from .geometry import (
     psi,
     psi_inv,
     trig_derivative,
+    trig_extrema,
     trig_interp,
-    trig_interp_maximizer,
     winding_number,
 )
 from .kernels import KernelSet
@@ -121,23 +121,21 @@ def extract_slit_images(md):
     """Centers and lengths of the mapped slits, as two length-m arrays, from
     the boundary image.
 
-    Projects u(t) = Re[e^{-i theta_j} zeta_j(t)] and locates both extrema of
-    its trigonometric interpolant by Newton refinement, so the extracted
-    parameters are spectrally accurate (grid-level refinement would cap the
-    preimage iteration around 1e-9).
+    Projects u(t) = Re[e^{-i theta_j} zeta_j(t)], locates both extrema of
+    its trigonometric interpolant by Newton refinement and reads zeta_j's
+    interpolant there, so the extracted parameters are spectrally accurate
+    (grid-level refinement would cap the preimage iteration around 1e-9).
     """
     centers = np.empty(md.m, dtype=complex)
     lengths = np.empty(md.m)
     for j in range(1, md.m + 1):
         rot = np.exp(-1j * md.theta[j])
         u = (rot * md.zeta[j]).real
-        t_hi, u_hi = trig_interp_maximizer(u, sign=+1.0)
-        t_lo, u_lo = trig_interp_maximizer(u, sign=-1.0)
+        (t_lo, u_lo), (t_hi, u_hi) = trig_extrema(u)
         length = u_hi - u_lo
         if length < 1e-13:
             raise GeometryError(f"slit image {j} is degenerate")
-        z_hi = complex(trig_interp(md.zeta[j], [t_hi])[0])
-        z_lo = complex(trig_interp(md.zeta[j], [t_lo])[0])
+        z_hi, z_lo = trig_interp(md.zeta[j], [t_hi, t_lo])
         centers[j - 1] = 0.5 * (z_hi + z_lo)
         lengths[j - 1] = length
     return centers, lengths
@@ -151,16 +149,20 @@ def inverse_map(md, points):
     so g is recovered by the normalized Cauchy sum with spectrally
     differentiated zeta~.
 
-    A point outside the strip raises GeometryError.  A point inside it that
-    the sampled outer boundary zeta~_0 does not wind around once (near the
-    walls far out, beyond what n nodes resolve) gives nan+nanj.
+    A non-finite point raises ValueError and a point outside the strip
+    GeometryError.  A point inside it gives nan+nanj where the sampled outer
+    boundary zeta~_0 does not wind around it once (near the walls far out,
+    beyond what n nodes resolve) or where psi_inv rounds it to within 1e-13
+    of the nodes +-1 of zeta~_0 (|Re z| beyond about 30.6, at every n).
     """
     pts_in = np.asarray(points, dtype=complex)
     pts = np.atleast_1d(pts_in)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"evaluation points must be finite, got {pts[~np.isfinite(pts)][:3]}")
     if np.any(np.abs(pts.imag) >= HALF_PI):
         raise GeometryError("point outside the strip")
     zt = psi_inv(pts)
-    inside = winding_number(md.zeta_tilde[0], zt) == 1
+    inside = (winding_number(md.zeta_tilde[0], zt) == 1) & ~_near_poles(zt)
     vals = np.full(pts.shape, complex(np.nan, np.nan))
     vals[inside] = cauchy_eval(md.zeta_tilde, md.zeta_tilde_dot, md.bp.eta, zt[inside])
     return vals if pts_in.ndim else complex(vals[0])

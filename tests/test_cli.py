@@ -197,6 +197,16 @@ class TestCommands:
         assert 0 < sum(v is None for v in flat) == masked
         assert [line.endswith(",") for line in lines[1:]] == [v is None for v in flat]
 
+    def test_flow_far_out_grid(self, tmp_path):
+        # columns beyond |x| ~ 30.6 are unresolved at every n: masked, not fatal
+        payload = dict(SMALL, flow={"x": [-40, 40], "y": [-1.0, 1.0], "nx": 9, "ny": 5})
+        path = write_problem(tmp_path, payload)
+        proc = run_cli(["flow", "--input", path, "--json"])
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert [row[0] for row in doc["mask"]] == [0] * 5
+        assert [row[1] for row in doc["mask"]] == [1] * 5
+
     def test_flow_nonconvergence_exit_2(self, tmp_path):
         payload = dict(SMALL, flow={"nx": 5, "ny": 5})
         path = write_problem(tmp_path, payload)

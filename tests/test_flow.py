@@ -138,6 +138,25 @@ class TestStreamGrid:
         assert field.mask[~bad].all()
         assert np.array_equal(field.psi_values[~bad], batched[~bad].imag)
 
+    def test_far_out_columns_unresolved(self):
+        # tanh(z/2) rounds every point beyond |Re z| ~ 30.6 to within 1e-13
+        # of +-1, nodes of the bounded outer image: nan and counted, not an
+        # error
+        pre = iterate(StripSlitDomain([SlitSpec(-0.5, 0.5)]), IterationConfig(n=64))
+        grid = GridSpec(-40.0, 40.0, -1.5, 1.5, 201, 31)
+        field = stream_grid(pre, horizontal_slit_map(pre), grid)
+        xs, ys = grid.axes()
+        X, Y = np.meshgrid(xs, ys)
+        far = np.abs(X) > 30.6
+        assert field.failures == far.sum()
+        assert np.isnan(field.psi_values[far]).all()
+        assert field.mask[~far & (np.abs(Y) > 0.05)].all()
+
+    def test_non_finite_point_rejected(self, channel_128_pre):
+        ups = horizontal_slit_map(channel_128_pre)
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            complex_potential(channel_128_pre, ups, np.array([0.1, np.inf]))
+
     def test_all_unresolved_batch(self, channel_128_pre):
         ups = horizontal_slit_map(channel_128_pre)
         with warnings.catch_warnings():

@@ -4,13 +4,14 @@ import pytest
 import stripcap as sc
 from stripcap.geometry import (
     HALF_PI,
+    _spectrum,
     pairwise_differences,
     point_segment_distance,
     psi_inv_deriv,
     segment_distance,
     segments_cross,
+    trig_extrema,
     trig_interp,
-    trig_interp_maximizer,
     winding_number,
 )
 
@@ -72,32 +73,41 @@ class TestTrigTools:
         ref = np.cos(2 * tq) + 3 * np.sin(5 * tq)
         assert np.abs(trig_interp(f, tq) - ref).max() < 1e-12
 
-    def test_maximizer_finds_exact_extremum(self):
+    def test_derivative_matches_interpolant_at_nodes(self):
+        # trig_derivative zeroes the Nyquist mode, and the derivative of the
+        # cosine _spectrum takes it for, -5.6 sin(8t), vanishes at every node
+        n = 16
+        t = 2 * np.pi * np.arange(n) / n
+        f = np.sin(3 * t) + 0.5 * np.cos(5 * t - 0.2) + 0.7 * np.cos(8 * t)
+        c, k = _spectrum(f)
+        ref = np.exp(1j * np.outer(t, k)) @ (c * (1j * k))
+        assert np.abs(sc.trig_derivative(f) - ref).max() < 1e-13
+
+    def test_extrema_exact(self):
         n = 64
         t = 2 * np.pi * np.arange(n) / n
         f = 3 + np.cos(t - 1.234)
-        t_hi, u_hi = trig_interp_maximizer(f, sign=+1.0)
-        t_lo, u_lo = trig_interp_maximizer(f, sign=-1.0)
+        (t_lo, u_lo), (t_hi, u_hi) = trig_extrema(f)
         assert u_hi == pytest.approx(4.0, abs=1e-13)
         assert u_lo == pytest.approx(2.0, abs=1e-13)
         assert t_hi % (2 * np.pi) == pytest.approx(1.234, abs=1e-10)
 
-    def test_maximizer_nyquist_mode(self):
+    def test_extrema_nyquist_mode(self):
         # the Nyquist mode is the cosine trig_interp takes it for, not a
         # constant: the maximum of cos(t - pi/8) - 0.3 cos(8t) is 1.3
         n = 16
         t = 2 * np.pi * np.arange(n) / n
         f = np.cos(t - 2 * np.pi / n) - 0.3 * np.cos(8 * t)
-        t_hi, u_hi = trig_interp_maximizer(f, sign=+1.0)
+        _, (t_hi, u_hi) = trig_extrema(f)
         assert t_hi == pytest.approx(2 * np.pi / n, abs=1e-12)
         assert u_hi == pytest.approx(1.3, abs=1e-13)
         assert u_hi == pytest.approx(trig_interp(f, [t_hi])[0].real, abs=1e-14)
 
-    def test_maximizer_multimodal(self):
+    def test_extrema_multimodal(self):
         n = 128
         t = 2 * np.pi * np.arange(n) / n
         f = np.cos(t) + 0.3 * np.cos(2 * t - 0.7)
-        _, u_hi = trig_interp_maximizer(f, sign=+1.0)
+        _, (_, u_hi) = trig_extrema(f)
         dense = np.linspace(0, 2 * np.pi, 2_000_001)
         ref = (np.cos(dense) + 0.3 * np.cos(2 * dense - 0.7)).max()
         assert u_hi == pytest.approx(ref, abs=1e-10)
@@ -193,6 +203,10 @@ class TestDomain:
     def test_needs_at_least_one_slit(self):
         with pytest.raises(sc.GeometryError):
             sc.StripSlitDomain([])
+
+    def test_entry_that_is_not_a_slit_rejected(self):
+        with pytest.raises(sc.GeometryError, match=r"slits\[1\] must be a SlitSpec, got \(0, 1\)"):
+            sc.StripSlitDomain([sc.SlitSpec(-1j, 1j), (0, 1)])
 
 
 class TestEllipse:

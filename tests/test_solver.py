@@ -278,6 +278,14 @@ class TestCauchyEval:
                 np.array([bp.flat_eta[5]]),
             )
 
+    def test_non_finite_point_rejected(self):
+        bp, t = circle_bp(64)
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            cauchy_eval(
+                bp.flat_eta, bp.flat_eta_dot, np.ones(bp.flat_eta.size),
+                np.array([0.1, np.nan]),
+            )
+
     def test_no_points(self):
         bp, t = circle_bp(64)
         vals = cauchy_eval(

@@ -87,10 +87,26 @@ class TestEval:
         assert isinstance(w, complex)
         assert np.isnan(w.real) and np.isnan(w.imag)
 
+    def test_far_out_point_is_nan(self, four_slit_pre):
+        # beyond |Re z| ~ 30.6, tanh(z/2) rounds to within 1e-13 of +-1,
+        # the nodes of the bounded outer image, at every n
+        w = inverse_map(four_slit_pre.map, np.array([30.0, 36.0, -36.0 + 1.0j]))
+        assert np.isfinite(w[0])
+        assert np.isnan(w[1:].real).all() and np.isnan(w[1:].imag).all()
+
+    @pytest.mark.parametrize("point", [np.nan, complex(np.nan, 0.1), np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, four_slit_pre, point):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            inverse_map(four_slit_pre.map, np.array([0.1, point]))
+
     def test_eval_on_boundary_rejected(self, four_slit_pre):
         md = four_slit_pre.map
         with pytest.raises(GeometryError):
             md.eval(np.array([md.bp.flat_eta[3]]))
+
+    def test_eval_non_finite_point_rejected(self, four_slit_pre):
+        with pytest.raises(ValueError, match="evaluation points must be finite"):
+            four_slit_pre.map.eval(np.array([0.1, np.nan]))
 
 
 class TestHelpers:
