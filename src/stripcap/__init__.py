@@ -10,7 +10,13 @@ from .capacity import (
     exact_cap_vertical,
     mu,
 )
-from .errors import ConvergenceError, GeometryError, OverlapError, StripcapError
+from .errors import (
+    ConvergenceError,
+    GeometryError,
+    MemoryLimitError,
+    OverlapError,
+    StripcapError,
+)
 from .flow import FlowField, GridSpec, complex_potential, horizontal_slit_map, stream_grid
 from .geometry import (
     BoundaryParametrization,
@@ -54,6 +60,7 @@ __all__ = [
     "IterationConfig",
     "KernelSet",
     "MapData",
+    "MemoryLimitError",
     "OverlapError",
     "PreimageResult",
     "SlitSpec",

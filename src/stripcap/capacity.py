@@ -5,7 +5,8 @@ preimage domain of the slit strip, then solve one Dirichlet-type boundary
 integral equation per plate on that fixed geometry and a small dense linear
 system for the plate charges.  The kernel for this second step uses the
 plain base-point function A(t) = eta(t) - alpha (constant angle pi/2 on
-every component), the standard choice for Dirichlet problems.
+every component), the standard choice for Dirichlet problems; it is the
+preimage iteration's last kernel, re-angled rather than assembled again.
 
 Exact references for single-slit plates come from the Grotzsch ring modulus
 mu(r) built on arithmetic-geometric-mean elliptic integrals.
@@ -18,7 +19,6 @@ import numpy as np
 
 from .errors import GeometryError, StripcapError
 from .geometry import HALF_PI, SlitSpec, StripSlitDomain, psi_inv, segment_distance
-from .kernels import KernelSet
 from .preimage import IterationConfig, iterate
 from .solver import solve_bie
 
@@ -106,14 +106,16 @@ class CapacityResult:
     preimage: object
 
 
-def charges_from_boundary(bp, alphas):
+def charges_from_boundary(ks, alphas):
     """Plate charges on a fixed smooth geometry (step 2).
 
-    ``alphas`` holds one point strictly inside each hole.  The data
-    log|eta - alpha_k| of the m plates form one (m, m+1, n) block, solved
-    through the integral equation in a single ``solve_bie`` call (one
-    Krylov space for all plates), and the resulting piecewise constants
-    h_{j,k} fill an (m+1) x (m+1) system
+    ``ks`` is a kernel on the geometry, which this call owns: it is
+    re-angled in place to the angle pi/2 on every component, which makes
+    A(t) = eta(t) - alpha.  ``alphas`` holds one point strictly inside each
+    hole.  The data log|eta - alpha_k| of the m plates form one (m, m+1, n)
+    block, solved through the integral equation in a single ``solve_bie``
+    call (one Krylov space for all plates), and the resulting piecewise
+    constants h_{j,k} fill an (m+1) x (m+1) system
 
         sum_k h_{j,k} a_k + c = (0 on the circle, 1 on every plate)
 
@@ -121,9 +123,9 @@ def charges_from_boundary(bp, alphas):
     potential (value 1 on every plate); potential levels enter only in the
     final weighted sum 2*pi*sum(delta_k * a_k).  Returns (a, c).
     """
+    bp = ks.bp
     m = bp.m
-    theta = np.full(m + 1, HALF_PI)  # makes A(t) = eta(t) - alpha
-    ks = KernelSet(bp, theta)
+    ks.reangle(np.full(m + 1, HALF_PI))
     gammas = np.log(np.abs(bp.eta - np.asarray(alphas)[:, None, None]))
     H = solve_bie(ks, gammas).h.T
     system = np.hstack([H, np.ones((m + 1, 1))])
@@ -136,13 +138,13 @@ def charges_from_boundary(bp, alphas):
 
 
 def capacity(spec, cfg=IterationConfig()):
-    """cap(S, E, delta) by preimage iteration plus the charge system."""
+    """cap(S, E, delta) by preimage iteration plus the charge system, on the
+    kernel the iteration's last step assembled."""
     pre = iterate(spec.domain, cfg)
     pre.require_converged()
-    bp = pre.map.bp
     # a point inside hole k: the image of the ellipse center
     alphas = [psi_inv(p.z) for p in pre.params]
-    a, c = charges_from_boundary(bp, alphas)
+    a, c = charges_from_boundary(pre.take_kernel(), alphas)
     cap = 2.0 * np.pi * float(np.dot(spec.delta, a))
     return CapacityResult(cap=cap, a=a, c=c, preimage=pre)
 

@@ -13,6 +13,10 @@ class OverlapError(GeometryError):
     """Boundary curves intersect or come too close to each other."""
 
 
+class MemoryLimitError(StripcapError):
+    """A problem size whose dense kernels exceed the machine's memory."""
+
+
 class ConvergenceError(StripcapError):
     """An iterative solve failed to reach its tolerance.
 

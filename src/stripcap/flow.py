@@ -56,12 +56,11 @@ class FlowField:
 
 
 def horizontal_slit_map(pre):
-    """Second canonical map from the converged preimage: all angles zero.
-    Raises ConvergenceError when the preimage iteration missed its
-    tolerance."""
+    """Second canonical map from the converged preimage: all angles zero,
+    solved on ``pre``'s kernel, which it takes and re-angles.  Raises
+    ConvergenceError when the preimage iteration missed its tolerance."""
     pre.require_converged()
-    md = pre.map
-    return build_map(md.bp, np.zeros(md.bp.m + 1))
+    return build_map(pre.take_kernel().reangle(np.zeros(pre.map.m + 1)))
 
 
 def complex_potential(pre, upsilon, points):

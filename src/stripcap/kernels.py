@@ -19,6 +19,10 @@ obtained from the Taylor expansion at s = t and cross-checked against a
 finite-difference extrapolation in the tests.
 """
 
+import itertools
+import math
+import mmap
+
 import numpy as np
 
 from .errors import GeometryError
@@ -40,6 +44,18 @@ def default_alpha(bp):
     return complex(candidates[best])
 
 
+def _mapped(shape):
+    """An uninitialized float array in an anonymous mapping of its own, which
+    goes back to the system the moment the array dies.  glibc's malloc
+    serves arrays below 32 MB from the heap once a freed mapping has raised
+    its mmap threshold, and a freed kernel there can stay resident under the
+    next, larger one: flow's peak RSS read 140 or 163 MB by that luck."""
+    buf = mmap.mmap(-1, 8 * math.prod(shape), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # as numpy advises its own large arrays
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=float).reshape(shape)
+
+
 def _assemble(eta, eta_dot, A, diag, n):
     """Fill and return the dense (N, M1) matrices; raises on coincident nodes.
 
@@ -49,8 +65,7 @@ def _assemble(eta, eta_dot, A, diag, n):
     each diagonal block of M1.  The diagonal entries are the limits ``diag``.
     """
     ntot = eta.shape[0]
-    N = np.empty((ntot, ntot))
-    M1 = np.empty((ntot, ntot))
+    N, M1 = _mapped((ntot, ntot)), _mapped((ntot, ntot))
     col = eta_dot / A / np.pi
     for rows, x, y in pairwise_differences(eta, eta):
         dz = np.empty(x.shape, dtype=complex)
@@ -74,24 +89,41 @@ def _assemble(eta, eta_dot, A, diag, n):
     return N, M1
 
 
+def _rotate(x, y, phi, tmp):
+    """(x, y) <- (cos(phi) x - sin(phi) y, sin(phi) x + cos(phi) y) in place,
+    as three shears x -= t y, y += s x, x -= t y with t = tan(phi/2) and
+    s = sin(phi) (Paeth 1986); ``tmp`` is scratch of x's shape.  A turn by
+    more than pi/2 first negates both, so that |t| <= 1."""
+    phi = math.remainder(phi, 2.0 * math.pi)
+    if abs(phi) > 0.5 * math.pi:
+        np.negative(x, out=x)
+        np.negative(y, out=y)
+        phi -= math.copysign(math.pi, phi)
+    t, s = math.tan(0.5 * phi), math.sin(phi)
+    for dst, src, factor in ((x, y, -t), (y, x, s), (x, y, -t)):
+        np.multiply(src, factor, out=tmp)
+        dst += tmp
+
+
 class KernelSet:
     """Assembled Nystrom data for one geometry and one angle vector theta.
 
     The base point ``alpha`` of A is chosen from the geometry alone
     (``default_alpha``), so every kernel on one geometry shares it.  Stores
     the dense N and M1 matrices plus everything needed to apply the
-    discretized operators.  Immutable once built; safe to share between
-    concurrent solves.
+    discretized operators.
+
+    A kernel is owned by whoever holds it and is not shared: ``iterate``
+    assembles one per outer step and keeps the last in its result, and the
+    solves that follow on the same geometry take it from there and
+    ``reangle`` it in place, so one geometry is assembled once.
     """
 
     def __init__(self, bp, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (bp.m + 1,):
-            raise ValueError(f"theta must have {bp.m + 1} entries")
         self.bp = bp
         self.alpha = default_alpha(bp)
-        # A(t) = e^{i(pi/2 - theta_j)} (eta(t) - alpha) on each component
-        self.A = np.exp(1j * (0.5 * np.pi - theta))[:, None] * (bp.eta - self.alpha)
+        self.theta = self._angles(theta)
+        self.A = self._base_function()
         # spectral second derivative of eta and first derivative of A,
         # component by component, for the diagonal limits
         eta_ddot = trig_derivative(bp.eta_dot)
@@ -103,6 +135,44 @@ class KernelSet:
             bp.flat_eta, bp.flat_eta_dot, self.A.reshape(-1), diag, bp.n
         )
         self._w = 2.0 * np.pi / bp.n
+
+    def _angles(self, theta):
+        theta = np.array(theta, dtype=float)
+        if theta.shape != (self.bp.m + 1,):
+            raise ValueError(f"theta must have {self.bp.m + 1} entries")
+        return theta
+
+    def _base_function(self):
+        """A(t) = e^{i(pi/2 - theta_j)} (eta(t) - alpha) on each component."""
+        rot = np.exp(1j * (0.5 * np.pi - self.theta))
+        return rot[:, None] * (self.bp.eta - self.alpha)
+
+    def reangle(self, theta):
+        """Turn this kernel, in place, into the one for the angles ``theta``
+        on the same geometry; returns self.
+
+        Row block j and column block k of C = M1 + iN carry the factor
+        A_i/A_j, whose phase is e^{i(theta_k - theta_j)}.  New angles
+        theta + d therefore multiply block (j, k) by e^{i phi} with
+        phi = d_k - d_j: N' = cos(phi) N + sin(phi) M1 and
+        M1' = cos(phi) M1 - sin(phi) N.  Diagonal blocks, with the diagonal
+        limits and the cot circulant, keep every bit, and so does a block
+        whose phi is 0.  The rotation runs as three shears, so one n x n
+        temporary is all it allocates.
+        """
+        theta = self._angles(theta)
+        d = theta - self.theta
+        n = self.bp.n
+        tmp = np.empty((n, n))
+        for j, k in itertools.permutations(range(self.bp.m + 1), 2):
+            phi = d[k] - d[j]
+            if phi == 0.0:
+                continue
+            rows, cols = slice(j * n, (j + 1) * n), slice(k * n, (k + 1) * n)
+            _rotate(self.M1[rows, cols], self.N[rows, cols], phi, tmp)
+        self.theta = theta
+        self.A = self._base_function()
+        return self
 
     def _flat(self, x):
         """``x`` as float, and as one flat length-(m+1)n row per set of

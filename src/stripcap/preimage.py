@@ -8,14 +8,16 @@ error is the mean mismatch of centers and lengths against the targets.
 """
 
 import math
+import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import ConvergenceError, GeometryError
+from .errors import ConvergenceError, GeometryError, MemoryLimitError
 from .geometry import EllipseParams, build_preimage_boundary
+from .kernels import KernelSet
 from .stripmap import build_map, extract_slit_images
 
 # n=128 resolves the four-slit and channel geometries (first-solve h_dev
@@ -64,7 +66,11 @@ class LadderLevel:
 class PreimageResult:
     """The outcome of ``iterate``.  ``error_history`` and ``gmres_history``
     run over all ``levels`` in order; ``params`` and ``map`` belong to the
-    last level, which is always at ``cfg.n``."""
+    last level, which is always at ``cfg.n``.
+
+    The result also holds the kernel that ``map`` was solved on, and no
+    older one, until ``take_kernel`` hands it to the next solve on the same
+    geometry."""
 
     params: list
     map: object
@@ -74,10 +80,19 @@ class PreimageResult:
     converged: bool
     omega: object
     cfg: IterationConfig
+    _kernel: KernelSet = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def iterations(self):
         return len(self.error_history)
+
+    def take_kernel(self):
+        """The kernel of ``map``, which the caller now owns and may
+        ``reangle``; the result lets go of it.  When it holds none (taken
+        before, or the last step failed before its map), one is assembled
+        on ``map.bp``."""
+        ks, self._kernel = self._kernel, None
+        return ks if ks is not None else KernelSet(self.map.bp, self.map.theta)
 
     def require_converged(self):
         """Raise ConvergenceError unless the iteration met its tolerance."""
@@ -88,6 +103,19 @@ class PreimageResult:
                 f"(last error {self.error_history[-1]:.3e})",
                 history=self.error_history,
             )
+
+
+def _check_memory(m, n):
+    """Raise MemoryLimitError when the dense N and M1 for m holes at n nodes
+    per component, 16 ((m+1) n)^2 bytes, exceed the machine's physical
+    memory."""
+    need = 16 * ((m + 1) * n) ** 2
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryLimitError(
+            f"kernels for n={n}, m={m} need {need} bytes, more than the "
+            f"{have} bytes of physical memory; choose a smaller n"
+        )
 
 
 def initialize(omega, cfg):
@@ -115,8 +143,10 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
 
     ``progress``, when given, receives one dict per outer step (k counted
     over all levels, n, error, gmres_iters, elapsed_ms).  Returns the full
-    history whether or not the tolerance was met.
+    history whether or not the tolerance was met.  A cfg.n whose kernels
+    cannot fit in physical memory raises MemoryLimitError before any work.
     """
+    _check_memory(omega.m, cfg.n)  # initialize already builds the boundary at cfg.n
     params = initialize(omega, cfg)
     result = PreimageResult(
         params=list(params),
@@ -147,6 +177,8 @@ def _run_level(result, params, n, progress, coarse=False):
     it and the level in ``result.levels``, also when a step raises.
     Returns whether the level resolved: it met eps, and a coarse level's
     first solve had a largest ``h_dev`` below RESOLVED_H_DEV (else it stops).
+    ``result`` keeps the kernel of its map, and the last step's kernel is
+    dropped before the next is assembled.
     """
     omega, cfg = result.omega, result.cfg
     targets_c = np.array([s.c for s in omega.slits])
@@ -157,9 +189,13 @@ def _run_level(result, params, n, progress, coarse=False):
         while steps < cfg.max_iter:
             t0 = time.perf_counter()
             bp = build_preimage_boundary(params, n)
-            md = build_map(bp, omega.theta)
+            # at most one kernel alive: the last step's goes before the next
+            result._kernel = None
+            ks = KernelSet(bp, omega.theta)
+            md = build_map(ks)
             centers, lengths = extract_slit_images(md)
-            result.params, result.map = list(params), md
+            result.params, result.map, result._kernel = list(params), md, ks
+            del ks
             steps += 1
             h_dev = float(md.solution.h_dev.max())
             err = float(

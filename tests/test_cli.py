@@ -465,6 +465,12 @@ class TestCommands:
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "cap =" not in proc.stderr
 
+    def test_kernel_too_large_exit_1(self, tmp_path):
+        proc = run_cli(["preimage", "--input", write_problem(tmp_path, SMALL), "--n", "65536"])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: kernels for n=65536, m=1 need")
+        assert len(proc.stderr.strip().splitlines()) == 1
+
     def test_main_callable_in_process(self, tmp_path, capsys):
         # main() is also the programmatic entry point
         path = write_problem(tmp_path, SMALL)

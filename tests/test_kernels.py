@@ -1,5 +1,7 @@
+import os
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import stripcap as sc
 from stripcap.geometry import BoundaryParametrization, psi_inv, psi_inv_deriv
 from stripcap.kernels import KernelSet, singular_cot_part
 
-from conftest import FOUR_SLITS
+from conftest import CHANNEL_SLITS, FOUR_SLITS
 
 
 def circle_bp(n=128):
@@ -21,6 +23,27 @@ def two_component_bp(n=128):
     """Unit circle plus one off-center ellipse-image hole."""
     params = [sc.EllipseParams(z=0.3 + 0.2j, a=0.7, theta=0.4, r=0.35)]
     return sc.build_preimage_boundary(params, n)
+
+
+def channel_bp(n=128):
+    """The channel's initial ellipses at n: five components, mixed angles."""
+    dom = sc.StripSlitDomain(CHANNEL_SLITS)
+    return dom, sc.build_preimage_boundary(sc.initialize(dom, sc.IterationConfig(n=n)), n)
+
+
+def blocks(bp):
+    """(j, k, index) of every n x n block of an assembled matrix."""
+    n = bp.n
+    return [
+        (j, k, np.s_[j * n : (j + 1) * n, k * n : (k + 1) * n])
+        for j in range(bp.m + 1)
+        for k in range(bp.m + 1)
+    ]
+
+
+def resident_bytes():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def node_params(bp):
@@ -237,18 +260,51 @@ class TestAssembly:
         # beyond the stored N and M1, assembly holds the generator's two real
         # 2^16-element buffers (512 KiB each) and at most three complex
         # temporaries of one such chunk (1 MiB each), plus 4 MiB for the
-        # n x n cot circulant (2 MiB at n=512) and the small per-node arrays
+        # n x n cot circulant (2 MiB at n=512) and the small per-node arrays;
+        # N and M1 live in their own mappings, which tracemalloc does not see
         cfg = sc.IterationConfig(n=512)
         dom = sc.StripSlitDomain(FOUR_SLITS)
         bp = sc.build_preimage_boundary(sc.initialize(dom, cfg), cfg.n)
         tracemalloc.start()
         try:
-            ks = KernelSet(bp, np.full(bp.m + 1, np.pi / 2))
-            peak = tracemalloc.get_traced_memory()[1]
+            KernelSet(bp, np.full(bp.m + 1, np.pi / 2))
+            transient = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        transient = peak - ks.N.nbytes - ks.M1.nbytes
         assert transient <= 2 * 2**19 + 3 * 2**20 + 4 * 2**20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs Linux /proc")
+    def test_dead_kernel_leaves_no_resident_memory(self):
+        # 13 MB arrays at n=256: below malloc's 32 MB mmap ceiling, so after
+        # the first kernel dies the next one could come from the heap, where
+        # an array allocated after it and still alive would keep it resident
+        cfg = sc.IterationConfig(n=256)
+        dom = sc.StripSlitDomain(FOUR_SLITS)
+        bp = sc.build_preimage_boundary(sc.initialize(dom, cfg), cfg.n)
+        theta = np.full(bp.m + 1, np.pi / 2)
+        KernelSet(bp, theta)
+        ks = KernelSet(bp, theta)
+        stored = ks.N.nbytes + ks.M1.nbytes
+        later = np.ones(2**17)
+        before = resident_bytes()
+        del ks
+        assert before - resident_bytes() >= 0.99 * stored
+        assert later.all()
+
+    def test_reangle_transient_memory_bounded(self):
+        # re-angling every coupling block of the four-slit kernel at n=512
+        # allocates its one n x n scratch block; two blocks bound it
+        cfg = sc.IterationConfig(n=512)
+        dom = sc.StripSlitDomain(FOUR_SLITS)
+        bp = sc.build_preimage_boundary(sc.initialize(dom, cfg), cfg.n)
+        ks = KernelSet(bp, np.full(bp.m + 1, np.pi / 2))
+        tracemalloc.start()
+        try:
+            ks.reangle(np.linspace(0.0, 0.4, bp.m + 1))
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= 2 * 8 * bp.n**2
 
     def test_coincident_holes_rejected(self):
         one = two_component_bp(64)
@@ -290,3 +346,105 @@ class TestConstruction:
         bp = two_component_bp(64)
         with pytest.raises(ValueError, match="theta"):
             KernelSet(bp, [np.pi / 2])
+
+
+class TestReangle:
+    @pytest.mark.parametrize(
+        "theta",
+        [[0.0] * 5, [np.pi / 2] * 5, [0.0, 2.5, -2.0, 0.0, 1.0]],
+        ids=["zero", "half-pi", "turns-past-half-pi"],
+    )
+    def test_matches_fresh_assembly(self, theta):
+        # the channel's mixed angles turn every coupling block by its own phase
+        dom, bp = channel_bp()
+        theta = np.array(theta)
+        ks = KernelSet(bp, dom.theta)
+        N, M1 = ks.N.copy(), ks.M1.copy()
+        assert ks.reangle(theta) is ks
+        fresh = KernelSet(bp, theta)
+        for j, k, b in blocks(bp):
+            if j == k:
+                assert np.array_equal(ks.N[b], N[b]) and np.array_equal(ks.M1[b], M1[b])
+            scale = np.abs(fresh.M1[b] + 1j * fresh.N[b]).max()
+            assert np.abs(ks.N[b] - fresh.N[b]).max() <= 1e-13 * scale
+            assert np.abs(ks.M1[b] - fresh.M1[b]).max() <= 1e-13 * scale
+        assert np.abs(ks.A - fresh.A).max() <= 1e-13 * np.abs(fresh.A).max()
+        assert ks.alpha == fresh.alpha
+        assert np.array_equal(ks.theta, theta)
+
+    def test_half_turn_negates_coupling_blocks(self):
+        # phi = +-pi, where the plain shear's tan(phi/2) overflows
+        dom, bp = channel_bp(64)
+        ks = KernelSet(bp, dom.theta)
+        N, M1 = ks.N.copy(), ks.M1.copy()
+        ks.reangle(dom.theta + np.array([np.pi, 0.0, 0.0, 0.0, 0.0]))
+        for j, k, b in blocks(bp):
+            sign = -1.0 if (j == 0) != (k == 0) else 1.0
+            assert np.array_equal(ks.N[b], sign * N[b])
+            assert np.array_equal(ks.M1[b], sign * M1[b])
+
+    def test_same_angles_change_no_bit(self):
+        dom, bp = channel_bp()
+        ks = KernelSet(bp, dom.theta)
+        before = [x.copy() for x in (ks.N, ks.M1, ks.A, ks.theta)]
+        ks.reangle(list(dom.theta))
+        for x, y in zip((ks.N, ks.M1, ks.A, ks.theta), before):
+            assert np.array_equal(x, y)
+
+    def test_theta_shape_validated(self):
+        ks = KernelSet(two_component_bp(64), [np.pi / 2, 0.1])
+        with pytest.raises(ValueError, match="theta"):
+            ks.reangle([0.0])
+
+
+@pytest.fixture
+def kernels_built(monkeypatch):
+    """Weak references to every KernelSet built from now on, and the number
+    of earlier ones still alive when each was built."""
+    refs, alive_before = [], []
+    init = KernelSet.__init__
+
+    def tracked(self, *args, **kwargs):
+        alive_before.append(sum(ref() is not None for ref in refs))
+        init(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(KernelSet, "__init__", tracked)
+    return refs, alive_before
+
+
+def alive(refs):
+    return sum(ref() is not None for ref in refs)
+
+
+class TestOneKernelPerGeometry:
+    """Each outer step assembles one kernel, the iteration keeps only the
+    last, and the solves that follow on its geometry take it over."""
+
+    def test_iterate_keeps_one_kernel_alive(self, kernels_built):
+        refs, alive_before = kernels_built
+        res = sc.iterate(sc.StripSlitDomain(CHANNEL_SLITS), sc.IterationConfig(n=256))
+        assert res.converged and len(res.levels) == 2
+        assert len(refs) == res.iterations
+        assert alive_before == [0] * res.iterations
+        assert alive(refs) == 1
+
+    def test_capacity_assembles_once_per_step_and_keeps_nothing(self, kernels_built):
+        refs, alive_before = kernels_built
+        spec = sc.CondenserSpec(sc.StripSlitDomain(FOUR_SLITS))
+        res = sc.capacity(spec, sc.IterationConfig(n=256))
+        assert len(refs) == res.preimage.iterations  # the charges add none
+        assert max(alive_before) == 0
+        assert alive(refs) == 0
+
+    def test_horizontal_slit_map_takes_the_kernel(self, kernels_built):
+        refs, _ = kernels_built
+        cfg = sc.IterationConfig(n=128, r=0.2, eps=1e-11)
+        pre = sc.iterate(sc.StripSlitDomain(CHANNEL_SLITS), cfg)
+        steps = len(refs)
+        ups = sc.horizontal_slit_map(pre)
+        assert len(refs) == steps and alive(refs) == 0
+        # a second map on the same result assembles its own, and keeps none
+        again = sc.horizontal_slit_map(pre)
+        assert len(refs) == steps + 1 and alive(refs) == 0
+        assert np.abs(again.zeta[1:] - ups.zeta[1:]).max() <= 1e-10

@@ -5,7 +5,7 @@ import pytest
 
 import stripcap.preimage as preimage
 from stripcap.capacity import charges_from_boundary
-from stripcap.errors import ConvergenceError, OverlapError
+from stripcap.errors import ConvergenceError, MemoryLimitError, OverlapError
 from stripcap.geometry import SlitSpec, StripSlitDomain, psi_inv
 from stripcap.preimage import (
     RESOLVED_H_DEV,
@@ -123,6 +123,17 @@ class TestIterate:
             iters[r] = res.iterations
         assert iters[0.1] <= iters[0.3]
 
+    def test_kernel_too_large_for_memory_rejected_first(self, monkeypatch):
+        # 16 ((m+1) n)^2 bytes = 275 GB for m=1, n=2^16: raised before
+        # initialize builds the boundary or any kernel is assembled
+        def unreachable(*args):
+            raise AssertionError("work started before the memory check")
+
+        monkeypatch.setattr(preimage, "initialize", unreachable)
+        monkeypatch.setattr(preimage.KernelSet, "__init__", unreachable)
+        with pytest.raises(MemoryLimitError, match="n=65536, m=1 need 274877906944 bytes"):
+            iterate(single_slit_domain(), IterationConfig(n=2**16))
+
     def test_result_carries_domain(self, one_slit_pre):
         assert isinstance(one_slit_pre, PreimageResult)
         assert one_slit_pre.omega is not None
@@ -134,7 +145,7 @@ class TestLadder:
     @staticmethod
     def capacity_of(pre):
         a, _ = charges_from_boundary(
-            pre.map.bp, [psi_inv(p.z) for p in pre.params]
+            pre.take_kernel(), [psi_inv(p.z) for p in pre.params]
         )
         return 2.0 * np.pi * a.sum()
 
@@ -159,10 +170,10 @@ class TestLadder:
         # build_map raises at one n, so that level counts as unresolved
         build_map = preimage.build_map
 
-        def failing(bp, theta):
-            if bp.n == n_fail:
+        def failing(ks):
+            if ks.bp.n == n_fail:
                 raise ConvergenceError("stalled")
-            return build_map(bp, theta)
+            return build_map(ks)
 
         monkeypatch.setattr(preimage, "build_map", failing)
 

@@ -5,7 +5,7 @@ import pytest
 
 from stripcap.errors import GeometryError
 from stripcap.geometry import HALF_PI, StripSlitDomain, build_preimage_boundary, psi
-from stripcap.kernels import default_alpha
+from stripcap.kernels import KernelSet, default_alpha
 from stripcap.stripmap import (
     build_map,
     extract_slit_images,
@@ -104,6 +104,12 @@ class TestEval:
         with pytest.raises(GeometryError):
             md.eval(np.array([md.bp.flat_eta[3]]))
 
+    @pytest.mark.parametrize("points", [[0.1, 1e300], [2.0], [0.1, 1.0]])
+    def test_eval_outside_unit_disk_rejected(self, one_slit_pre, points):
+        # rejected before the Cauchy sums, which overflow at 1e300
+        with pytest.raises(GeometryError, match="outside the unit disk"):
+            one_slit_pre.map.eval(np.array(points))
+
     def test_eval_non_finite_point_rejected(self, four_slit_pre):
         with pytest.raises(ValueError, match="evaluation points must be finite"):
             four_slit_pre.map.eval(np.array([0.1, np.nan]))
@@ -131,6 +137,6 @@ class TestHelpers:
         # a second map with all angles zero sends every hole to a horizontal
         # slit: quasi-ellipse images have constant imaginary part
         md = channel_pre.map
-        ups = build_map(md.bp, np.zeros(md.m + 1))
+        ups = build_map(KernelSet(md.bp, np.zeros(md.m + 1)))
         for zj in ups.zeta[1:]:
             assert zj.imag.max() - zj.imag.min() < 1e-10
