@@ -13,6 +13,7 @@ mu(r) built on arithmetic-geometric-mean elliptic integrals.
 """
 
 import inspect
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,9 +200,11 @@ def _sweep(layout):
 
 
 def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
-    """``count`` layouts of m horizontal slits of length 2/m, centers in
-    [-4, 4] (and, when box_height > 0, imaginary parts in [-box_height,
-    box_height]); rejection sampling keeps pairwise slit distance >= 1e-3."""
+    """``count`` layouts of m horizontal slits of length ell = 2/m, centers
+    in [-4, 4] (and, when box_height > 0, imaginary parts in [-box_height,
+    box_height]); rejection sampling keeps pairwise slit distance >= 1e-3.
+    Each layout clamps r by two_vertical's rule, gap / (2 ell), over the
+    pairs of slits whose real ranges overlap."""
     if m < 1:
         raise ValueError(f"study.m must be >= 1, got {m}")
     if count < 0:
@@ -209,7 +212,7 @@ def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
     if not 0.0 <= box_height < np.inf:
         raise ValueError(f"study.box_height must be finite and >= 0, got {box_height}")
     rng = np.random.default_rng(seed)
-    half = 1.0 / m
+    ell = 2.0 / m
     layouts = []
     for trial in range(count):
         slits = []
@@ -220,16 +223,25 @@ def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
                 raise GeometryError("rejection sampling failed to place slits")
             cx = rng.uniform(-4.0, 4.0)
             cy = rng.uniform(-box_height, box_height) if box_height > 0 else 0.0
-            a, b = complex(cx - half, cy), complex(cx + half, cy)
+            a, b = complex(cx - 0.5 * ell, cy), complex(cx + 0.5 * ell, cy)
             if all(segment_distance(a, b, *slit) >= 1e-3 for slit in slits):
                 slits.append((a, b))
-        layouts.append((trial, slits, 1.0))
+        r_max = min(
+            [1.0] + [
+                segment_distance(*p, *q) / (2.0 * ell)
+                for p, q in itertools.combinations(slits, 2)
+                if abs(p[0].real - q[0].real) < ell
+            ]
+        )
+        layouts.append((trial, slits, r_max))
     return layouts
 
 
 # name -> builder of (param, slit endpoint pairs, largest ellipse ratio r)
-# samples; its parameters are the keys of a study section.  two_vertical
-# clamps r to x/2 so that the holes stay apart.
+# samples; its parameters are the keys of a study section.  Close slits
+# clamp r to gap / (2 ell), ell the slit length, so that the holes stay
+# apart: two_vertical to x/2, random_horizontal over the pairs whose real
+# ranges overlap.
 STUDY_FAMILIES = {
     # E = (-x + [-i, i]) u (x + [-i, i])
     "two_vertical": _sweep(lambda x: ([(-x - 1j, -x + 1j), (x - 1j, x + 1j)], 0.5 * x)),

@@ -56,6 +56,12 @@ def _mapped(shape):
     return np.frombuffer(buf, dtype=float).reshape(shape)
 
 
+def dense_bytes(m, n):
+    """Bytes of the dense N and M1 that ``_assemble`` stores for m holes at
+    n nodes per component: 16 ((m+1) n)^2."""
+    return 2 * 8 * ((m + 1) * n) ** 2
+
+
 def _assemble(eta, eta_dot, A, diag, n):
     """Fill and return the dense (N, M1) matrices; raises on coincident nodes.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceError, GeometryError, MemoryLimitError
 from .geometry import EllipseParams, build_preimage_boundary
-from .kernels import KernelSet
+from .kernels import KernelSet, dense_bytes
 from .stripmap import build_map, extract_slit_images
 
 # n=128 resolves the four-slit and channel geometries (first-solve h_dev
@@ -107,9 +107,8 @@ class PreimageResult:
 
 def _check_memory(m, n):
     """Raise MemoryLimitError when the dense N and M1 for m holes at n nodes
-    per component, 16 ((m+1) n)^2 bytes, exceed the machine's physical
-    memory."""
-    need = 16 * ((m + 1) * n) ** 2
+    per component exceed the machine's physical memory."""
+    need = dense_bytes(m, n)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryLimitError(

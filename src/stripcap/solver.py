@@ -15,11 +15,11 @@ KRYLOV_BUDGET = 400
 @dataclass
 class SolverStats:
     """Krylov iterations and their relative residual norms, shared by every
-    right-hand side of a solve; ``residual`` is max|rhs - (I-N) rho|, a
-    float for one right-hand side and an array of k for a block of k."""
+    right-hand side of a solve; ``residual`` is an array of k, one
+    max|rhs - (I-N) rho| per right-hand side (k = 1 for a single one)."""
 
     iterations: int
-    residual: object
+    residual: np.ndarray
     history: list
 
 
@@ -41,83 +41,53 @@ class BieSolution:
     stats: SolverStats
 
 
-def _givens(f, g):
-    """The rotation (c, s, r) with [c s; -s c] [f; g] = [r; 0], by LAPACK's
-    dlartg formula (entries far from under- and overflow, as a unit-vector
-    Krylov basis gives)."""
-    if g == 0.0:
-        return 1.0, 0.0, f
-    if f == 0.0:
-        return 0.0, np.copysign(1.0, g), abs(g)
-    d = np.sqrt(f * f + g * g)
-    r = np.copysign(d, f)
-    return abs(f) / d, g / r, r
+def _gmres_pass(matvec, b, x, r, atol, history):
+    """One restart-free GMRES cycle (Saad & Schultz 1986) for A x = b from
+    the iterate ``x``, whose residual ``r = b - A x`` the caller has;
+    returns the new iterate and its true residual.
 
-
-def _gmres_pass(matvec, b, x, r, ptol, history):
-    """One restart-free GMRES cycle for A x = b from the iterate ``x``, whose
-    residual ``r = b - A x`` the caller has; returns the new iterate and its
-    true residual.
-
-    The loop is scipy 1.17's ``gmres`` with ``restart`` = ``KRYLOV_BUDGET``
-    and one cycle: modified Gram-Schmidt, Givens rotations and back
-    substitution, in the same floating-point operations.  It stops when the
-    least-squares residual reaches ``ptol``, and appends each iteration's
-    residual relative to |b| to ``history``.
+    Modified Gram-Schmidt Arnoldi builds the orthonormal basis ``v`` and
+    the Hessenberg matrix ``h``; Givens rotations (``np.hypot``) reduce each
+    new column of ``h`` to triangular form, so the last entry of the rotated
+    |r| e1 in ``g`` is the least-squares residual.  The cycle stops when
+    that residual reaches ``atol``, after ``KRYLOV_BUDGET`` iterations, or
+    on breakdown (A maps the basis into itself, so the iterate is exact),
+    and back substitution on the triangle gives the update.  Each
+    iteration's least-squares residual relative to |b| goes to ``history``.
     """
-    size = b.size
-    restart = min(KRYLOV_BUDGET, size)
-    bnrm2 = np.linalg.norm(b)
-    eps = np.finfo(float).eps
-    v = np.empty((restart + 1, size))
-    # h[col] holds column col of the Hessenberg matrix
-    h = np.zeros((restart, restart + 1))
-    givens = np.zeros((restart, 2))
-    v[0] = r
-    tmp = np.linalg.norm(v[0])
-    v[0] *= 1 / tmp
-    S = np.zeros(restart + 1)
-    S[0] = tmp
-    breakdown = False
-    for col in range(restart):
-        w = matvec(v[col])
-        h0 = np.linalg.norm(w)
-        for k in range(col + 1):
-            tmp = np.dot(v[k], w)
-            h[col, k] = tmp
-            w -= tmp * v[k]
-        h1 = np.linalg.norm(w)
-        h[col, col + 1] = h1
-        v[col + 1] = w
-        if h1 <= eps * h0:  # A maps the basis into itself: x is exact
-            h[col, col + 1] = 0
-            breakdown = True
-        else:
-            v[col + 1] *= 1 / h1
-        for k in range(col):
-            c, s = givens[k]
-            n0, n1 = h[col, k], h[col, k + 1]
-            h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-        c, s, mag = _givens(h[col, col], h[col, col + 1])
-        givens[col] = c, s
-        h[col, col], h[col, col + 1] = mag, 0
-        tmp = -s * S[col]
-        S[col], S[col + 1] = c * S[col], tmp
-        presid = np.abs(tmp)
-        history.append(presid / bnrm2)
-        if presid <= ptol or breakdown:
+    steps = min(KRYLOV_BUDGET, b.size)
+    v = np.empty((steps + 1, b.size))
+    h = np.zeros((steps + 1, steps))
+    rotations = []
+    g = np.zeros(steps + 1)
+    g[0] = np.linalg.norm(r)
+    v[0] = r / g[0]
+    bnorm = np.linalg.norm(b)
+    for j in range(steps):
+        w = matvec(v[j])
+        wnorm = np.linalg.norm(w)
+        for i in range(j + 1):
+            h[i, j] = v[i] @ w
+            w -= h[i, j] * v[i]
+        h[j + 1, j] = np.linalg.norm(w)
+        breakdown = h[j + 1, j] <= np.finfo(float).eps * wnorm
+        if not breakdown:
+            v[j + 1] = w / h[j + 1, j]
+        for i, (c, s) in enumerate(rotations):
+            hi, hn = h[i, j], h[i + 1, j]
+            h[i, j], h[i + 1, j] = c * hi + s * hn, c * hn - s * hi
+        d = np.hypot(h[j, j], h[j + 1, j])
+        c, s = h[j, j] / d, h[j + 1, j] / d
+        rotations.append((c, s))
+        h[j, j] = d
+        g[j], g[j + 1] = c * g[j], -s * g[j]
+        history.append(abs(g[j + 1]) / bnorm)
+        if abs(g[j + 1]) <= atol or breakdown:
             break
-    if h[col, col] == 0:
-        S[col] = 0
-    y = S[: col + 1].copy()
-    for k in range(col, 0, -1):
-        if y[k] != 0:
-            y[k] /= h[k, k]
-            tmp = y[k]
-            y[:k] -= tmp * h[k, :k]
-    if y[0] != 0:
-        y[0] /= h[0, 0]
-    x = x + y @ v[: col + 1]
+    y = np.zeros(j + 1)
+    for i in range(j, -1, -1):
+        y[i] = (g[i] - h[i, i + 1 : j + 1] @ y[i + 1 :]) / h[i, i]
+    x = x + y @ v[: j + 1]
     return x, b - matvec(x)
 
 
@@ -130,15 +100,16 @@ def solve_bie(ks, gamma):
     GMRES runs on the stacked system diag(I-N, ..., I-N), so each iteration
     costs one product of N with a (ntot x k) block (global GMRES).  Each
     right-hand side is scaled by the power of two nearest its norm, which is
-    exact, so the joint tolerance holds every one alike and a block of one
-    keeps the arithmetic of a single solve.
+    exact, so the joint tolerance holds every one alike; a single right-hand
+    side runs as a block of one.
 
     GMRES runs to the relative residual ``TOL`` within ``KRYLOV_BUDGET``
     iterations.  A second pass starts from the first pass's iterate and runs
     only when that iterate's true residual misses ``TOL``, restoring the
     digit a Krylov basis can lose to rounding.  ``stats.iterations`` and
-    ``stats.history`` count the Krylov iterations of both passes; a solve
-    costs those plus two ``I-N`` products (the true residual and the field).
+    ``stats.history`` count the Krylov iterations of both passes, and
+    ``stats.residual`` holds the k true residuals; a solve costs those
+    iterations plus two ``I-N`` products (the true residual and the field).
     The solve fails, with ConvergenceError naming the right-hand side and
     carrying the residual history, when one's true residual misses
     ``10 * TOL * max|rhs|`` of its own.  The theory makes the field exactly
@@ -167,34 +138,25 @@ def solve_bie(ks, gamma):
     history = []
     x = np.zeros_like(b)
     r = b.copy()
-    bnrm2 = np.linalg.norm(b)
-    atol = TOL * bnrm2
-    # scipy's stopping bound for the least-squares residual, which can
-    # differ from atol in the last bit
-    ptol = bnrm2 * min(1.0, atol / bnrm2) if bnrm2 else 0.0
+    atol = TOL * np.linalg.norm(b)
     for _ in range(2):
         if np.linalg.norm(r) <= atol:
             break
-        x, r = _gmres_pass(matvec, b, x, r, ptol, history)
+        x, r = _gmres_pass(matvec, b, x, r, atol, history)
     rho = np.ldexp(x.reshape(rhs.shape), exps).reshape(gamma.shape)
     residual = np.abs(np.ldexp(r.reshape(rhs.shape), exps)).max(axis=1)
     target = 10.0 * TOL * np.abs(rhs).max(axis=1)
     missed = np.flatnonzero(residual > target)
-    block = gamma.ndim == 3
     if missed.size:
         row = missed[0]
-        where = f" on right-hand side {row}" if block else ""
         raise ConvergenceError(
-            f"GMRES stalled{where}: residual {residual[row]:.3e} after "
-            f"{len(history)} iterations (target {target[row]:.3e})",
+            f"GMRES stalled on right-hand side {row}: residual "
+            f"{residual[row]:.3e} after {len(history)} iterations (target "
+            f"{target[row]:.3e})",
             history=history,
         )
     field = 0.5 * (ks.apply_M(rho) - ks.apply_I_minus_N(gamma))
-    stats = SolverStats(
-        iterations=len(history),
-        residual=residual if block else float(residual[0]),
-        history=history,
-    )
+    stats = SolverStats(iterations=len(history), residual=residual, history=history)
     return BieSolution(
         rho=rho, h=field.mean(axis=-1), h_dev=field.std(axis=-1), stats=stats
     )

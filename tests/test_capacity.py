@@ -184,6 +184,22 @@ class TestStudies:
         layouts = lambda rows: [spec.domain.slits for _, spec, _ in rows]
         assert layouts(again) == layouts(samples)
 
+    def test_random_horizontal_clamps_r_for_close_pairs(self):
+        # r <= gap / (2 ell), ell = 2/m, over the pairs whose real ranges
+        # overlap; on the real axis (box_height 0) no ranges overlap
+        cfg = IterationConfig(n=64)
+        study = {"family": "random_horizontal", "m": 3, "count": 3, "seed": 4}
+        flat = study_samples(dict(study, box_height=0.0), cfg)
+        assert [c for _, _, c in flat] == [cfg] * 3
+        boxed = study_samples(dict(study, box_height=0.5), cfg)
+        _, spec, close = boxed[1]
+        s = spec.domain.slits
+        assert close == replace(cfg, r=(s[1].c.imag - s[2].c.imag) / (2 * 2 / 3))
+        assert [c for _, _, c in boxed[::2]] == [cfg] * 2
+        # at the run's r=0.2 the preimage curves of slits 2 and 3 intersect
+        point = capacity_study([boxed[1]])[0]
+        assert point.converged, point.error
+
     def test_vertical_family_clamps_r(self):
         # only r changes; every other setting of the base config is kept
         base = IterationConfig(n=64, r=0.2, eps=1e-9, max_iter=7)

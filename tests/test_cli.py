@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import stripcap
-from stripcap.capacity import STUDY_FAMILIES
+from stripcap.capacity import STUDY_FAMILIES, capacity_study, study_samples
 from stripcap.cli import ProblemFile, main
 from stripcap.preimage import IterationConfig
 
@@ -267,11 +267,12 @@ class TestCommands:
         assert list(cwd.iterdir()) == []
 
     def test_study_failures_warned(self, tmp_path):
-        # one warning per converged=0 row, in table order
+        # one warning per converged=0 row, in table order, with that row's
+        # reason
         study = dict(family="random_horizontal", m=3, count=3, seed=4, box_height=0.5)
         path = write_problem(tmp_path, {"slits": SMALL["slits"], "study": study})
-        # max_iter=2 makes the first sample's miss certain: at eps=1e-14,
-        # on n=64's rounding floor, 100 steps converge or not by luck
+        # max_iter=2 makes every sample's miss certain: at eps=1e-14, on
+        # n=64's rounding floor, 100 steps converge or not by luck
         proc = run_cli(
             ["study", "--input", path, "--n", "64", "--eps", "1e-14", "--max-iter", "2"]
         )
@@ -282,8 +283,12 @@ class TestCommands:
         assert [w.split(": ")[:2] for w in warnings] == [
             ["warning", f"param {p}"] for p in failed
         ]
-        assert "did not reach 1e-14" in warnings[0]
-        assert "preimage curves 2 and 3 intersect" in warnings[1]
+        cfg = IterationConfig(n=64, eps=1e-14, max_iter=2)
+        table = capacity_study(study_samples(study, cfg))
+        assert [w.split(": ", 2)[2] for w in warnings] == [
+            point.error for point in table if not point.converged
+        ]
+        assert len(warnings) == 3 and "did not reach 1e-14" in warnings[1]
 
     @pytest.mark.parametrize("family", sorted(STUDY_FAMILIES))
     def test_study_family(self, tmp_path, family):

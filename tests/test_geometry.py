@@ -227,6 +227,14 @@ class TestEllipse:
         assert hat.real.max() == pytest.approx(0.5, abs=1e-12)
         assert hat.imag.max() == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "a, r, message",
+        [(0.5, 0.0, "aspect ratio"), (0.0, 0.2, "major axis"), (-0.5, 0.2, "major axis")],
+    )
+    def test_degenerate_ellipse_rejected(self, a, r, message):
+        with pytest.raises(sc.GeometryError, match=message):
+            sc.EllipseParams(z=0.1, a=a, theta=0.0, r=r)
+
 
 class TestWinding:
     def test_unit_circle(self):
@@ -322,6 +330,11 @@ class TestPreimageBoundary:
         params = [sc.EllipseParams(z=1.5j, a=0.5, theta=np.pi / 2, r=0.5)]
         with pytest.raises(sc.GeometryError):
             sc.build_preimage_boundary(params, 64)
+
+    def test_boundary_shapes_must_match(self):
+        eta = np.exp(2j * np.pi * np.arange(8) / 8)[None, :]
+        with pytest.raises(ValueError, match="eta and eta_dot must share a 2-D shape"):
+            sc.BoundaryParametrization(eta, 1j * eta[:, :7])
 
     def test_n_must_be_power_of_two(self):
         params = [sc.EllipseParams(z=0.0, a=0.5, theta=0.0, r=0.2)]

@@ -5,7 +5,7 @@ import pytest
 
 import stripcap.preimage as preimage
 from stripcap.capacity import charges_from_boundary
-from stripcap.errors import ConvergenceError, MemoryLimitError, OverlapError
+from stripcap.errors import ConvergenceError, GeometryError, MemoryLimitError, OverlapError
 from stripcap.geometry import SlitSpec, StripSlitDomain, psi_inv
 from stripcap.preimage import (
     RESOLVED_H_DEV,
@@ -122,6 +122,20 @@ class TestIterate:
             assert res.converged
             iters[r] = res.iterations
         assert iters[0.1] <= iters[0.3]
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            # psi_inv puts the hole within rounding of w = +1 ...
+            (35.5, "inner curve 1 touches the branch points"),
+            # ... and, farther out, onto the unit circle itself
+            (39.5, "curve 1 touches the unit circle"),
+        ],
+    )
+    def test_slit_too_far_out_rejected(self, x, message):
+        omega = StripSlitDomain([SlitSpec(x, x + 1.0)])
+        with pytest.raises(GeometryError, match=message):
+            iterate(omega, IterationConfig(n=64))
 
     def test_kernel_too_large_for_memory_rejected_first(self, monkeypatch):
         # 16 ((m+1) n)^2 bytes = 275 GB for m=1, n=2^16: raised before

@@ -120,8 +120,8 @@ class TestSolveRho:
         real_pass = solver._gmres_pass
         calls = []
 
-        def spoilt_first(matvec, b, x, r, ptol, history):
-            x, r = real_pass(matvec, b, x, r, ptol, history)
+        def spoilt_first(matvec, b, x, r, atol, history):
+            x, r = real_pass(matvec, b, x, r, atol, history)
             calls.append(1)
             if len(calls) == 1:
                 x = x + 1e-9
@@ -135,6 +135,19 @@ class TestSolveRho:
         assert np.abs(sol.rho - clean.rho).max() < 1e-12
         assert sol.stats.iterations > clean.stats.iterations
         assert len(sol.stats.history) == sol.stats.iterations
+
+    def test_breakdown_on_the_identity(self):
+        # A = I maps the first basis vector into the basis: the pass stops
+        # after one iteration at the exact x, without dividing by the zero
+        # Hessenberg entry (atol = 0 leaves breakdown as the only exit)
+        import stripcap.solver as solver
+
+        b = np.random.default_rng(5).standard_normal(200)
+        history = []
+        x, r = solver._gmres_pass(lambda v: v.copy(), b, np.zeros_like(b), b.copy(), 0.0, history)
+        assert len(history) == 1
+        assert np.abs(x - b).max() <= 1e-15 * np.abs(b).max()
+        assert np.array_equal(r, b - x)
 
     def test_matches_scipy_gmres(self):
         # the in-house pass is scipy's restart-free gmres loop: on the same
