@@ -9,6 +9,8 @@ is restricted to powers of two.
 """
 
 import cmath
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -329,34 +331,109 @@ class BoundaryParametrization:
         return self.eta_dot.reshape(-1)
 
 
-def pairwise_differences(nodes, targets):
-    """Yield ``(rows, x, y)``, the real and imaginary parts of
-    ``nodes[None, :] - targets[rows, None]``, for row slices of ``targets``
-    of about 2^16 elements each.
+# Every dense pairwise loop deals its row chunks to this many workers, one
+# per CPU this process may run on: the calling thread and WORKERS - 1
+# threads of one pool, created at first use
+WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads: it makes a pool of
+    its own at its first threaded call."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _threads():
+    """The shared pool.  concurrent.futures (and logging with it) is
+    imported here, not with the package, to keep it out of import time."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="stripcap")
+        return _pool
+
+
+def _chunks(nn, nt):
+    """Row slices of ``nt`` targets against ``nn`` nodes, of about
+    2^16 / WORKERS elements each, cut from the one-worker grid of about
+    2^16 elements per chunk: each of its chunks splits into at most WORKERS
+    pieces of at least two rows.  numpy's matmul sends a one-row chunk to
+    BLAS gemv and a longer one to gemm, whose bits differ, so a row takes
+    the same path for every worker count.  Targets that fit in one chunk
+    stay whole: there a thread handoff costs more than it saves (cap4's
+    winding tests took 0.04 s split, 0.02 s whole)."""
+    step = max(1, (1 << 16) // max(1, nn))
+    chunks = []
+    for p0 in range(0, nt, step):
+        k = min(step, nt - p0)
+        parts = max(1, min(WORKERS, k // 2)) if nt > step else 1
+        cuts = [p0 + k * i // parts for i in range(parts + 1)]
+        chunks += map(slice, cuts[:-1], cuts[1:])
+    return chunks
+
+
+def pairwise_chunks(nodes, targets, body):
+    """Call ``body(rows, x, y)`` for row slices ``rows`` that cover
+    ``targets`` once, where ``x`` and ``y`` are the real and imaginary parts
+    of ``nodes[None, :] - targets[rows, None]``.
 
     Every dense (targets x nodes) loop of the package -- kernel assembly,
-    Cauchy sums and winding numbers -- takes its differences from here.
-    ``x`` and ``y`` are views of two real buffers of about 512 KiB that are
-    allocated once per call and overwritten for every chunk, so a
-    consumer's passes over a chunk stay in cache.  Consumers may work on
-    them in place but must not keep them past the next chunk.
+    Cauchy sums and winding numbers -- is such a body.  The chunks are dealt
+    round-robin to ``WORKERS`` workers, the calling thread and the pool's
+    threads; each worker refills two real buffers of its own for each of
+    its chunks, so a body's passes over a chunk stay in cache.  A body may
+    work on ``x`` and ``y`` in place but must not keep them.  It writes only
+    to its own ``rows`` of its outputs, sets any ``np.errstate`` it needs
+    itself (numpy keeps one per thread), and calls no other function of the
+    package, so that a tracer's spans all stay on the calling thread.
+    Every entry comes from the same operations whatever the worker count,
+    so results are bit-identical.  An exception in a body reaches the
+    caller once every worker has finished; a single chunk runs inline.
     """
-    nn, nt = nodes.shape[0], targets.shape[0]
-    step = max(1, (1 << 16) // max(1, nn))
-    xbuf = np.empty(min(step, nt) * nn)
-    ybuf = np.empty_like(xbuf)
-    for p0 in range(0, nt, step):
-        rows = slice(p0, min(p0 + step, nt))
-        size = (rows.stop - rows.start) * nn
-        x = xbuf[:size].reshape(-1, nn)
-        y = ybuf[:size].reshape(-1, nn)
-        # a row copy and an in-place subtraction run faster than one
-        # broadcast subtraction into ``out``
-        x[...] = nodes.real
-        x -= targets.real[rows, None]
-        y[...] = nodes.imag
-        y -= targets.imag[rows, None]
-        yield rows, x, y
+    nn = nodes.shape[0]
+    chunks = _chunks(nn, targets.shape[0])
+    workers = min(WORKERS, len(chunks))
+
+    def work(first):
+        mine = chunks[first::workers]
+        xbuf = np.empty(max(rows.stop - rows.start for rows in mine) * nn)
+        ybuf = np.empty_like(xbuf)
+        for rows in mine:
+            size = (rows.stop - rows.start) * nn
+            x = xbuf[:size].reshape(-1, nn)
+            y = ybuf[:size].reshape(-1, nn)
+            # a row copy and an in-place subtraction run faster than one
+            # broadcast subtraction into ``out``
+            x[...] = nodes.real
+            x -= targets.real[rows, None]
+            y[...] = nodes.imag
+            y -= targets.imag[rows, None]
+            body(rows, x, y)
+
+    if workers <= 1:
+        if chunks:
+            work(0)
+        return
+    pool = _threads()
+    futures = [pool.submit(work, w) for w in range(1, workers)]
+    try:
+        work(0)
+    finally:
+        for f in futures:
+            f.exception()  # waits for the worker
+    for f in futures:
+        f.result()
 
 
 def winding_number(curve, w):
@@ -366,7 +443,8 @@ def winding_number(curve, w):
     scalar = w_in.ndim == 0
     wv = np.atleast_1d(w_in)
     res = np.empty(wv.shape[0], dtype=int)
-    for rows, x, y in pairwise_differences(curve, wv):
+
+    def count(rows, x, y):
         # the angle of z_{k+1} conj(z_k) is that of z_{k+1}/z_k, with no
         # division by a node that coincides with a point
         xn = np.roll(x, -1, axis=1)
@@ -376,6 +454,8 @@ def winding_number(curve, w):
         im = yn * x
         im -= xn * y
         res[rows] = np.rint(np.arctan2(im, re).sum(axis=1) / (2.0 * np.pi))
+
+    pairwise_chunks(curve, wv, count)
     return int(res[0]) if scalar else res
 
 

@@ -26,7 +26,7 @@ import mmap
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import pairwise_differences, trig_derivative, winding_number
+from .geometry import pairwise_chunks, trig_derivative, winding_number
 
 
 def default_alpha(bp):
@@ -73,7 +73,8 @@ def _assemble(eta, eta_dot, A, diag, n):
     ntot = eta.shape[0]
     N, M1 = _mapped((ntot, ntot)), _mapped((ntot, ntot))
     col = eta_dot / A / np.pi
-    for rows, x, y in pairwise_differences(eta, eta):
+
+    def fill(rows, x, y):
         dz = np.empty(x.shape, dtype=complex)
         dz.real, dz.imag = x, y
         local = np.arange(rows.stop - rows.start)
@@ -83,6 +84,8 @@ def _assemble(eta, eta_dot, A, diag, n):
         c = (A[rows, None] * col[None, :]) / dz
         N[rows] = c.imag
         M1[rows] = c.real
+
+    pairwise_chunks(eta, eta, fill)
     k = np.arange(1, n)
     c = np.concatenate([[0.0], 0.5 / np.pi / np.tan(np.pi * k / n)])
     i = np.arange(n)

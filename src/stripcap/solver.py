@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GeometryError
-from .geometry import pairwise_differences
+from .geometry import pairwise_chunks
+from .kernels import _mapped
 
 TOL = 1e-14
 # the crowded pair x=+-0.01, r=0.005, n=256 needs up to 284 Krylov iterations
@@ -56,7 +57,11 @@ def _gmres_pass(matvec, b, x, r, atol, history):
     iteration's least-squares residual relative to |b| goes to ``history``.
     """
     steps = min(KRYLOV_BUDGET, b.size)
-    v = np.empty((steps + 1, b.size))
+    # the basis in a mapping of its own: freed to malloc's heap, flow's 8 MB
+    # basis at n=512 raised glibc's trim threshold to 16 MB, so the heap
+    # could keep that much resident, and flow's peak RSS read 140 or 154 MB
+    # on the order of allocations alone
+    v = _mapped((steps + 1, b.size))
     h = np.zeros((steps + 1, steps))
     rotations = []
     g = np.zeros(steps + 1)
@@ -170,7 +175,7 @@ def cauchy_sums(bnodes, weights, values, targets):
     plus dmin(z) = min_i |b_i - z|.
 
     With b_i - z = x + iy and r = x^2 + y^2, 1/(b_i - z) = (x - iy)/r.  The
-    chunk's planar parts from ``pairwise_differences`` are divided by r in
+    chunk's planar parts from ``pairwise_chunks`` are divided by r in
     place; then, with v_i w_i = a_i + i b_i and w_i = c_i + i d_i, the four
     real parts [Re num, Im num, Re den, Im den] are x.[a, b, c, d] +
     y.[b, -a, d, -c]: two real products, no complex division and no
@@ -182,17 +187,20 @@ def cauchy_sums(bnodes, weights, values, targets):
     vw = values * weights
     x_cols = np.column_stack([vw.real, vw.imag, weights.real, weights.imag])
     y_cols = np.column_stack([vw.imag, -vw.real, weights.imag, -weights.real])
-    # an exactly-coincident node divides by zero; the caller rejects that
-    # point via dmin, so its non-finite sums are never read
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rows, x, y in pairwise_differences(bnodes, targets):
-            r = x * x
-            r += y * y
-            dmin[rows] = np.sqrt(r.min(axis=1))
+
+    def add(rows, x, y):
+        r = x * x
+        r += y * y
+        dmin[rows] = np.sqrt(r.min(axis=1))
+        # an exactly-coincident node divides by zero; the caller rejects
+        # that point via dmin, so its non-finite sums are never read
+        with np.errstate(divide="ignore", invalid="ignore"):
             x /= r
             y /= r
             np.matmul(x, x_cols, out=sums[rows])
             sums[rows] += y @ y_cols
+
+    pairwise_chunks(bnodes, targets, add)
     num, den = sums.view(np.complex128).T
     return num, den, dmin
 

@@ -102,7 +102,8 @@ class MapData:
         A non-finite point raises ValueError, and a point on or outside the
         unit circle, or on the boundary, GeometryError.  A point inside a
         hole is not detected and gives a meaningless value: a winding test
-        per hole would cost the flow grid about 12 %.
+        per hole would cost the flow grid about half again (3.4 s against
+        2.3 s for criterion 9's 400x200 grid on the channel at n=512).
         """
         pts = np.atleast_1d(np.asarray(points, dtype=complex))
         if (np.abs(pts[np.isfinite(pts)]) >= 1.0).any():

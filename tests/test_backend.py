@@ -34,3 +34,21 @@ def test_import_loads_no_scipy():
         check=True,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_starts_no_thread():
+    # the pairwise loops' thread pool and its imports wait for the first
+    # threaded call: concurrent.futures and logging cost set-up time
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, threading, stripcap; print(threading.active_count(), "
+        "[m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert proc.stdout.strip() == "1 []"

@@ -6,11 +6,13 @@ that renames or removes one of them makes the benchmark report those
 per-layer metrics as missing; these tests fail first.
 """
 
+import functools
 import importlib
 import inspect
 import json
 import math
 import runpy
+import threading
 import time
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 import stripcap as sc
+from stripcap import geometry
 from stripcap.flow import GridSpec, horizontal_slit_map, stream_grid
 from stripcap.geometry import BoundaryParametrization
 from stripcap.kernels import KernelSet
@@ -113,3 +116,36 @@ def test_traced_metrics_complete_and_strict_json(one_slit_pre):
     assert per_layer - WORKER_METRICS <= set(values), sorted(per_layer - WORKER_METRICS - set(values))
     assert all(math.isfinite(v) for v, _ in values.values()), values
     json.dumps(values, allow_nan=False)
+
+
+def test_seams_run_on_the_main_thread(one_slit_pre, monkeypatch):
+    # the tracer keeps one span stack, so no seam may run on a pool thread
+    # of the pairwise loops: their bodies call no seam
+    monkeypatch.setattr(geometry, "WORKERS", 2)
+    threads = {}
+
+    class ThreadTracer(LAYERS["Tracer"]):
+        def _wrap(self, span, fn):
+            traced = super()._wrap(span, fn)
+
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                threads.setdefault(span, set()).add(threading.current_thread())
+                return traced(*args, **kwargs)
+
+            return wrapper
+
+    spec = sc.CondenserSpec(sc.StripSlitDomain(FOUR_SLITS), delta=(1.0,) * 4)
+    cfg = sc.IterationConfig(n=64, r=0.2, eps=1e-11)
+    tracer = ThreadTracer()
+    tracer.install()
+    try:
+        sc.capacity(spec, cfg)
+        ups = horizontal_slit_map(one_slit_pre)
+        # 1200 points make many chunks, so the grid's Cauchy sums and
+        # winding numbers use the pool
+        stream_grid(one_slit_pre, ups, GridSpec(-2.0, 2.0, -1.0, 1.0, 40, 30))
+    finally:
+        tracer.uninstall()
+    assert set(threads) == set(LAYERS["SEAMS"])
+    assert all(t == {threading.main_thread()} for t in threads.values()), threads

@@ -1,11 +1,20 @@
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import stripcap as sc
+from stripcap import geometry
 from stripcap.geometry import (
     HALF_PI,
     _spectrum,
-    pairwise_differences,
+    pairwise_chunks,
     point_segment_distance,
     psi_inv_deriv,
     segment_distance,
@@ -14,6 +23,20 @@ from stripcap.geometry import (
     trig_interp,
     winding_number,
 )
+
+# absolute, so that a child process imports this package
+SRC = str(Path(sc.__file__).resolve().parents[1])
+
+
+def run_child(code, timeout=60):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
+    )
 
 
 class TestStripMaps:
@@ -251,6 +274,17 @@ class TestWinding:
         assert w.shape == (40000,)
         assert np.array_equal(w, (radius < 1).astype(int))
 
+    def test_bit_identical_for_any_worker_count(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        t = 2 * np.pi * np.arange(512) / 512
+        curve = np.exp(1j * t) * (1 + 0.3 * np.cos(3 * t))
+        pts = rng.uniform(-1.5, 1.5, 30001) + 1j * rng.uniform(-1.5, 1.5, 30001)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(geometry, "WORKERS", workers)
+            results.append(winding_number(curve, pts))
+        assert all(np.array_equal(r, results[0]) for r in results[1:])
+
     def test_matches_complex_turn_formula(self):
         # the planar turn angles agree with angle(z_{k+1} conj(z_k)) of the
         # complex differences, point for point
@@ -268,39 +302,151 @@ class TestWinding:
 
 class TestPairwiseDifferences:
     @staticmethod
-    def chunks(nodes, targets):
-        # copies: the generator overwrites its two buffers for every chunk
-        return [(rows, x.copy(), y.copy()) for rows, x, y in pairwise_differences(nodes, targets)]
+    def record(nodes, targets):
+        """Every body call as (thread, rows, x, y, x buffer, y buffer)."""
+        calls = []
+
+        def body(rows, x, y):
+            # copies: each worker overwrites its two buffers for every chunk
+            calls.append((threading.get_ident(), rows, x.copy(), y.copy(), x.base, y.base))
+
+        pairwise_chunks(nodes, targets, body)
+        return sorted(calls, key=lambda c: c[1].start)
 
     @pytest.mark.parametrize(
         "nn, nt",
-        [(1000, 200), (1000, 1), (70000, 3)],
-        ids=["ragged-last-chunk", "one-target", "more-nodes-than-a-chunk"],
+        [(1000, 200), (1000, 1), (70000, 3), (1000, 0)],
+        ids=["ragged-last-chunk", "one-target", "more-nodes-than-a-chunk", "no-targets"],
     )
-    def test_matches_direct_differences(self, nn, nt):
+    def test_matches_direct_differences(self, nn, nt, monkeypatch):
         rng = np.random.default_rng(nn + nt)
         nodes = rng.standard_normal(nn) + 1j * rng.standard_normal(nn)
         targets = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
         direct = nodes[None, :] - targets[:, None]
-        chunks = self.chunks(nodes, targets)
-        step = max(1, 2**16 // nn)
-        assert [c[0] for c in chunks] == [
-            slice(p, min(p + step, nt)) for p in range(0, nt, step)
-        ]
-        x = np.vstack([c[1] for c in chunks])
-        y = np.vstack([c[2] for c in chunks])
-        assert np.array_equal(x, direct.real)
-        assert np.array_equal(y, direct.imag)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(geometry, "WORKERS", workers)
+            calls = self.record(nodes, targets)
+            bounds = [0] + [c[1].stop for c in calls]
+            assert [c[1].start for c in calls] == bounds[:-1] and bounds[-1] == nt
+            x = np.vstack([c[2] for c in calls] or [np.empty((0, nn))])
+            y = np.vstack([c[3] for c in calls] or [np.empty((0, nn))])
+            assert np.array_equal(x, direct.real)
+            assert np.array_equal(y, direct.imag)
 
-    def test_buffers_reused(self):
+    def test_buffers_reused(self, monkeypatch):
+        nn = 512
+        nodes = np.exp(2j * np.pi * np.arange(nn) / nn)
+        targets = np.linspace(-0.5, 0.5, 1000).astype(complex)
+        step = 2**16 // nn
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(geometry, "WORKERS", workers)
+            calls = self.record(nodes, targets)
+            by_worker = {}
+            for thread, rows, _, _, xb, yb in calls:
+                by_worker.setdefault(id(xb), []).append((thread, rows, xb, yb))
+            # one pair of buffers per worker, holding its longest chunk of
+            # about 2^16 / workers elements; the caller is one of the workers
+            assert len(by_worker) == workers
+            assert threading.get_ident() in {c[0] for c in calls}
+            for chunks in by_worker.values():
+                _, _, xb, yb = chunks[0]
+                longest = max(r.stop - r.start for _, r, _, _ in chunks)
+                assert xb.size == yb.size == longest * nn <= -(-step // workers) * nn
+                assert all(y is yb and t == chunks[0][0] for t, _, _, y in chunks)
+            buffers = [b for chunks in by_worker.values() for b in chunks[0][2:]]
+            for a in range(len(buffers)):
+                for b in range(a + 1, len(buffers)):
+                    assert not np.shares_memory(buffers[a], buffers[b])
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_one_row_chunks_as_with_one_worker(self, workers, monkeypatch):
+        # numpy's matmul gives a one-row chunk to BLAS gemv and a longer one
+        # to gemm, whose bits differ: any worker count keeps a row on the
+        # path one worker takes
+        def single_rows(nn, nt):
+            return {c.start for c in geometry._chunks(nn, nt) if c.stop - c.start == 1}
+
+        for nn, nt in [(1000, 66), (1000, 67), (1000, 200), (2560, 30001), (70000, 3), (5, 1)]:
+            monkeypatch.setattr(geometry, "WORKERS", 1)
+            one = single_rows(nn, nt)
+            monkeypatch.setattr(geometry, "WORKERS", workers)
+            assert single_rows(nn, nt) == one, (nn, nt)
+
+    def test_one_chunk_runs_inline(self, monkeypatch):
+        # one point, and the 13 base-point candidates against 1024 nodes
+        # (one chunk of up to 64 rows): no pool is made
+        monkeypatch.setattr(geometry, "WORKERS", 2)
+        monkeypatch.setattr(geometry, "_pool", None)
+        curve = 0.9 * np.exp(2j * np.pi * np.arange(1024) / 1024)
+        assert winding_number(curve, 0.1) == 1
+        assert winding_number(curve, np.tanh(np.arange(-3.0, 3.01, 0.5) / 2.0)).sum() == 11
+        assert geometry._pool is None
+
+    def test_error_waits_for_every_worker(self, monkeypatch):
+        monkeypatch.setattr(geometry, "WORKERS", 2)
         nodes = np.exp(2j * np.pi * np.arange(512) / 512)
         targets = np.linspace(-0.5, 0.5, 1000).astype(complex)
-        first = None
-        for rows, x, y in pairwise_differences(nodes, targets):
-            assert x.nbytes <= 2**19 and y.nbytes <= 2**19
-            if first is None:
-                first = x, y
-            assert np.shares_memory(x, first[0]) and np.shares_memory(y, first[1])
+        done = []
+
+        def body(rows, x, y):
+            if threading.current_thread() is threading.main_thread():
+                raise ValueError("the caller's chunk failed")
+            time.sleep(0.005)
+            done.append(rows.start)
+
+        with pytest.raises(ValueError, match="caller's chunk"):
+            pairwise_chunks(nodes, targets, body)
+        # the pool's worker ran every chunk it was dealt
+        assert sorted(done) == [c.start for c in geometry._chunks(512, 1000)[1::2]]
+
+    def test_fork_child_gets_its_own_pool(self):
+        # a child forked after a threaded call must not wait on its
+        # parent's threads: the timeout turns a deadlock into a failure
+        code = textwrap.dedent(
+            """
+            import os
+            import numpy as np
+            from stripcap import geometry
+            geometry.WORKERS = 2
+            curve = np.exp(2j * np.pi * np.arange(512) / 512)
+            pts = np.linspace(-2.0, 2.0, 5000) + 0.1j
+            ref = geometry.winding_number(curve, pts)
+            assert geometry._pool is not None
+            pid = os.fork()
+            if pid == 0:
+                fresh = geometry._pool is None
+                same = np.array_equal(geometry.winding_number(curve, pts), ref)
+                os._exit(0 if fresh and same else 1)
+            _, status = os.waitpid(pid, 0)
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+            """
+        )
+        assert run_child(code).returncode == 0
+
+    def test_more_workers_than_cores(self):
+        # four workers with a short switch interval: a lost or misplaced
+        # row breaks equality with the one-worker results
+        code = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            from stripcap import geometry
+            from stripcap.solver import cauchy_sums
+            rng = np.random.default_rng(3)
+            nodes = np.exp(2j * np.pi * np.arange(1000) / 1000)
+            weights = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+            pts = 0.9 * rng.uniform(-1, 1, 8001) + 0.5j * rng.uniform(-1, 1, 8001)
+            geometry.WORKERS = 1
+            ref = geometry.winding_number(nodes, pts), *cauchy_sums(nodes, weights, weights, pts)
+            geometry.WORKERS = 4
+            sys.setswitchinterval(1e-6)
+            for _ in range(3):
+                got = geometry.winding_number(nodes, pts), *cauchy_sums(nodes, weights, weights, pts)
+                assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+            """
+        )
+        proc = run_child(code)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPreimageBoundary:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import stripcap as sc
+from stripcap import geometry
 from stripcap.geometry import BoundaryParametrization, psi_inv, psi_inv_deriv
 from stripcap.kernels import KernelSet, singular_cot_part
 
@@ -257,9 +258,10 @@ class TestAssembly:
             assert np.abs(ks.M1[i, off] - ref).max() < 1e-11
 
     def test_transient_memory_bounded(self):
-        # beyond the stored N and M1, assembly holds the generator's two real
-        # 2^16-element buffers (512 KiB each) and at most three complex
-        # temporaries of one such chunk (1 MiB each), plus 4 MiB for the
+        # beyond the stored N and M1, assembly holds each worker's two real
+        # buffers and at most three complex temporaries of one chunk; chunks
+        # of about 2^16 / W elements for W workers keep these near 1 MiB of
+        # buffers and 3 MiB of temporaries for any W, plus 4 MiB for the
         # n x n cot circulant (2 MiB at n=512) and the small per-node arrays;
         # N and M1 live in their own mappings, which tracemalloc does not see
         cfg = sc.IterationConfig(n=512)
@@ -305,6 +307,34 @@ class TestAssembly:
         finally:
             tracemalloc.stop()
         assert peak - current <= 2 * 8 * bp.n**2
+
+    def test_bit_identical_for_any_worker_count(self, monkeypatch):
+        _, bp = channel_bp(128)
+        theta = np.linspace(0.0, 1.0, bp.m + 1)
+        kernels = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(geometry, "WORKERS", workers)
+            kernels.append(KernelSet(bp, theta))
+        for ks in kernels[1:]:
+            assert np.array_equal(ks.N, kernels[0].N)
+            assert np.array_equal(ks.M1, kernels[0].M1)
+
+    def test_coincident_nodes_in_a_pool_chunk(self, monkeypatch):
+        # one hole runs through one point twice, at rows 260 and 300 of 384;
+        # the caller gets the pool thread's error, and the next call works
+        monkeypatch.setattr(geometry, "WORKERS", 2)
+        good = two_component_bp(128)
+        eta, eta_dot = np.vstack([good.eta, good.eta[1:]]), np.vstack([good.eta_dot, good.eta_dot[1:]])
+        eta[2] = 0.5 * good.eta[1] - 0.2  # a second hole, clear of the first
+        eta[2, 44] = eta[2, 4]
+        pool_rows = geometry._chunks(384, 384)[1::2]
+        assert all(any(c.start <= i < c.stop for c in pool_rows) for i in (260, 300))
+        with pytest.raises(sc.GeometryError, match="coincident"):
+            KernelSet(BoundaryParametrization(eta, eta_dot), np.full(3, np.pi / 2))
+        ks = KernelSet(good, np.full(2, np.pi / 2))
+        monkeypatch.setattr(geometry, "WORKERS", 1)
+        ref = KernelSet(good, np.full(2, np.pi / 2))
+        assert np.array_equal(ks.N, ref.N) and np.array_equal(ks.M1, ref.M1)
 
     def test_coincident_holes_rejected(self):
         one = two_component_bp(64)

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from stripcap import geometry
 from stripcap.errors import ConvergenceError, GeometryError
 from stripcap.geometry import (
     BoundaryParametrization,
@@ -355,11 +356,38 @@ class TestCauchySums:
             with pytest.raises(GeometryError, match="boundary"):
                 cauchy_eval(nodes, weights, values, targets)
 
+    def test_bit_identical_for_any_worker_count(self, monkeypatch):
+        # 2002 targets end the one-worker grid (25 rows of 2560 nodes) in a
+        # two-row chunk: split into single rows, it would go through BLAS
+        # gemv rather than gemm
+        nodes, weights, values, targets = self.problem(nt=2002)
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(geometry, "WORKERS", workers)
+            results.append(cauchy_sums(nodes, weights, values, targets))
+        for got in results[1:]:
+            assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
+
+    def test_coincident_node_in_a_pool_chunk(self, monkeypatch):
+        # the pool thread's division by zero warns under its own errstate
+        # unless the body sets one
+        monkeypatch.setattr(geometry, "WORKERS", 2)
+        nodes, weights, values, targets = self.problem(nt=50)
+        assert any(c.start <= 17 < c.stop for c in geometry._chunks(nodes.size, 50)[1::2])
+        targets[17] = nodes[123]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, _, dmin = cauchy_sums(nodes, weights, values, targets)
+            assert dmin[17] == 0.0 and (np.delete(dmin, 17) > 0.0).all()
+            with pytest.raises(GeometryError, match="boundary"):
+                cauchy_eval(nodes, weights, values, targets)
+
     def test_transient_memory_bounded(self):
         # beyond its (targets x 4) sums and the targets-long dmin and result,
-        # cauchy_eval holds the generator's two 2^16-element real buffers and
-        # at most two chunk temporaries of the same size (2 MiB together),
-        # plus 1 MiB for the small per-node and per-chunk arrays
+        # cauchy_eval holds each worker's two real buffers and at most two
+        # chunk temporaries of their size; chunks of about 2^16 / W elements
+        # for W workers keep these near 2 MiB together for any W, and 1 MiB
+        # covers the small per-node and per-chunk arrays
         nodes, weights, values, targets = self.problem(nt=20000)
         tracemalloc.start()
         try:
