@@ -276,6 +276,10 @@ class EllipseParams:
     r: float
 
     def __post_init__(self):
+        for name in ("z", "a", "theta"):
+            v = getattr(self, name)
+            if not cmath.isfinite(v):
+                raise GeometryError(f"ellipse {name} is not finite: {v}")
         if not (0.0 < self.r <= 1.0):
             raise GeometryError(f"aspect ratio must be in (0, 1], got {self.r}")
         if self.a <= 0.0:
@@ -333,35 +337,10 @@ class BoundaryParametrization:
 
 # Every dense pairwise loop deals its row chunks to this many workers, one
 # per CPU this process may run on: the calling thread and WORKERS - 1
-# threads of one pool, created at first use
+# threads started for the call and joined before it returns
 WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _forget_pool():
-    """A forked child has none of its parent's threads: it makes a pool of
-    its own at its first threaded call."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _threads():
-    """The shared pool.  concurrent.futures (and logging with it) is
-    imported here, not with the package, to keep it out of import time."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max(1, WORKERS - 1), thread_name_prefix="stripcap")
-        return _pool
 
 
 def _chunks(nn, nt):
@@ -390,24 +369,28 @@ def pairwise_chunks(nodes, targets, body):
 
     Every dense (targets x nodes) loop of the package -- kernel assembly,
     Cauchy sums and winding numbers -- is such a body.  The chunks are dealt
-    round-robin to ``WORKERS`` workers, the calling thread and the pool's
-    threads; each worker refills two real buffers of its own for each of
-    its chunks, so a body's passes over a chunk stay in cache.  A body may
-    work on ``x`` and ``y`` in place but must not keep them.  It writes only
-    to its own ``rows`` of its outputs, sets any ``np.errstate`` it needs
-    itself (numpy keeps one per thread), and calls no other function of the
-    package, so that a tracer's spans all stay on the calling thread.
-    Every entry comes from the same operations whatever the worker count,
-    so results are bit-identical.  An exception in a body reaches the
-    caller once every worker has finished; a single chunk runs inline.
+    round-robin to ``WORKERS`` workers: the calling thread and one thread
+    started per further worker, all joined before the call returns, so no
+    thread outlives it; a single chunk starts none.  Each worker refills
+    two real buffers of its own for each of its chunks, so a body's passes
+    over a chunk stay in cache.  A body may work on ``x`` and ``y`` in
+    place but must not keep them.  It writes only to its own ``rows`` of
+    its outputs, sets any ``np.errstate`` it needs itself (numpy keeps one
+    per thread), and calls no other function of the package, so that a
+    tracer's spans all stay on the calling thread.  Every entry comes from
+    the same operations whatever the worker count, so results are
+    bit-identical.  An exception in a body reaches the caller once every
+    worker has finished: the caller's own first, else the one of the
+    lowest-numbered worker.
     """
     nn = nodes.shape[0]
     chunks = _chunks(nn, targets.shape[0])
-    workers = min(WORKERS, len(chunks))
+    workers = max(1, min(WORKERS, len(chunks)))
+    errors = [None] * workers
 
     def work(first):
         mine = chunks[first::workers]
-        xbuf = np.empty(max(rows.stop - rows.start for rows in mine) * nn)
+        xbuf = np.empty(max((rows.stop - rows.start for rows in mine), default=0) * nn)
         ybuf = np.empty_like(xbuf)
         for rows in mine:
             size = (rows.stop - rows.start) * nn
@@ -421,19 +404,21 @@ def pairwise_chunks(nodes, targets, body):
             y -= targets.imag[rows, None]
             body(rows, x, y)
 
-    if workers <= 1:
-        if chunks:
-            work(0)
-        return
-    pool = _threads()
-    futures = [pool.submit(work, w) for w in range(1, workers)]
-    try:
-        work(0)
-    finally:
-        for f in futures:
-            f.exception()  # waits for the worker
-    for f in futures:
-        f.result()
+    def run(first):
+        try:
+            work(first)
+        except BaseException as exc:
+            errors[first] = exc
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(1, workers)]
+    for t in threads:
+        t.start()
+    run(0)
+    for t in threads:
+        t.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def winding_number(curve, w):

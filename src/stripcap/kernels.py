@@ -149,6 +149,8 @@ class KernelSet:
         theta = np.array(theta, dtype=float)
         if theta.shape != (self.bp.m + 1,):
             raise ValueError(f"theta must have {self.bp.m + 1} entries")
+        if not np.isfinite(theta).all():
+            raise ValueError(f"theta must be finite, got {theta}")
         return theta
 
     def _base_function(self):

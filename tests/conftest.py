@@ -1,5 +1,7 @@
 """Shared fixtures: small converged domains reused across test modules."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,16 @@ CHANNEL_SLITS = [
     sc.SlitSpec(1 - 0.5j, 2 - 0.5j),
     sc.SlitSpec(-0.5 - 0.9j, 0.5 - 0.9j),
 ]
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_behind():
+    """Fail a test that ends with a thread it started still alive: every
+    stripcap call joins the threads it starts before it returns."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still alive after the test: {left}"
 
 
 ACCEPTANCE_LINES = []

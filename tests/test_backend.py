@@ -37,12 +37,19 @@ def test_import_loads_no_scipy():
 
 
 def test_import_starts_no_thread():
-    # the pairwise loops' thread pool and its imports wait for the first
-    # threaded call: concurrent.futures and logging cost set-up time
+    # the pairwise loops start their threads per call and join them before
+    # it returns, and import neither concurrent.futures nor logging, which
+    # cost set-up time
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     code = (
-        "import sys, threading, stripcap; print(threading.active_count(), "
-        "[m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+        "import sys, threading, numpy as np, stripcap\n"
+        "def state(): print(threading.active_count(), "
+        "[m for m in ('concurrent.futures', 'logging') if m in sys.modules])\n"
+        "state()\n"
+        "stripcap.geometry.WORKERS = 2\n"
+        "curve, pts = np.exp(2j * np.pi * np.arange(512) / 512), np.linspace(-2, 2, 5000)\n"
+        "assert np.array_equal(stripcap.geometry.winding_number(curve, pts), abs(pts) < 1)\n"
+        "state()\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -51,4 +58,4 @@ def test_import_starts_no_thread():
         env=dict(os.environ, PYTHONPATH=path),
         check=True,
     )
-    assert proc.stdout.strip() == "1 []"
+    assert proc.stdout.split() == ["1", "[]"] * 2

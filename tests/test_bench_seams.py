@@ -119,7 +119,7 @@ def test_traced_metrics_complete_and_strict_json(one_slit_pre):
 
 
 def test_seams_run_on_the_main_thread(one_slit_pre, monkeypatch):
-    # the tracer keeps one span stack, so no seam may run on a pool thread
+    # the tracer keeps one span stack, so no seam may run on a worker thread
     # of the pairwise loops: their bodies call no seam
     monkeypatch.setattr(geometry, "WORKERS", 2)
     threads = {}
@@ -143,7 +143,7 @@ def test_seams_run_on_the_main_thread(one_slit_pre, monkeypatch):
         sc.capacity(spec, cfg)
         ups = horizontal_slit_map(one_slit_pre)
         # 1200 points make many chunks, so the grid's Cauchy sums and
-        # winding numbers use the pool
+        # winding numbers start worker threads
         stream_grid(one_slit_pre, ups, GridSpec(-2.0, 2.0, -1.0, 1.0, 40, 30))
     finally:
         tracer.uninstall()

@@ -251,12 +251,22 @@ class TestEllipse:
         assert hat.imag.max() == pytest.approx(0.125, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "a, r, message",
-        [(0.5, 0.0, "aspect ratio"), (0.0, 0.2, "major axis"), (-0.5, 0.2, "major axis")],
+        "fields, message",
+        [
+            pytest.param({"r": 0.0}, "aspect ratio", id="0.5-0.0-aspect ratio"),
+            pytest.param({"a": 0.0}, "major axis", id="0.0-0.2-major axis"),
+            pytest.param({"a": -0.5}, "major axis", id="-0.5-0.2-major axis"),
+            pytest.param({"z": complex(np.nan, 0.1)}, "ellipse z is not finite", id="nan-z"),
+            pytest.param({"z": complex(0.1, np.inf)}, "ellipse z is not finite", id="inf-z"),
+            pytest.param({"a": np.nan}, "ellipse a is not finite", id="nan-a"),
+            pytest.param({"a": np.inf}, "ellipse a is not finite", id="inf-a"),
+            pytest.param({"theta": np.nan}, "ellipse theta is not finite", id="nan-theta"),
+            pytest.param({"theta": -np.inf}, "ellipse theta is not finite", id="inf-theta"),
+        ],
     )
-    def test_degenerate_ellipse_rejected(self, a, r, message):
+    def test_degenerate_ellipse_rejected(self, fields, message):
         with pytest.raises(sc.GeometryError, match=message):
-            sc.EllipseParams(z=0.1, a=a, theta=0.0, r=r)
+            sc.EllipseParams(**{"z": 0.1, "a": 0.5, "theta": 0.0, "r": 0.2, **fields})
 
 
 class TestWinding:
@@ -373,14 +383,21 @@ class TestPairwiseDifferences:
             assert single_rows(nn, nt) == one, (nn, nt)
 
     def test_one_chunk_runs_inline(self, monkeypatch):
-        # one point, and the 13 base-point candidates against 1024 nodes
-        # (one chunk of up to 64 rows): no pool is made
+        # one point, the 13 base-point candidates against 1024 nodes (one
+        # chunk of up to 64 rows) and no targets at all: the body runs on
+        # the calling thread and no thread is started
+        def no_start(thread):
+            raise AssertionError("a thread was started")
+
         monkeypatch.setattr(geometry, "WORKERS", 2)
-        monkeypatch.setattr(geometry, "_pool", None)
+        monkeypatch.setattr(threading.Thread, "start", no_start)
         curve = 0.9 * np.exp(2j * np.pi * np.arange(1024) / 1024)
         assert winding_number(curve, 0.1) == 1
         assert winding_number(curve, np.tanh(np.arange(-3.0, 3.01, 0.5) / 2.0)).sum() == 11
-        assert geometry._pool is None
+        for nt in (64, 0):
+            calls = self.record(curve, np.linspace(-0.5, 0.5, nt).astype(complex))
+            assert {c[0] for c in calls} <= {threading.get_ident()}
+            assert sum(c[1].stop - c[1].start for c in calls) == nt
 
     def test_error_waits_for_every_worker(self, monkeypatch):
         monkeypatch.setattr(geometry, "WORKERS", 2)
@@ -396,10 +413,35 @@ class TestPairwiseDifferences:
 
         with pytest.raises(ValueError, match="caller's chunk"):
             pairwise_chunks(nodes, targets, body)
-        # the pool's worker ran every chunk it was dealt
+        # the other worker ran every chunk it was dealt
         assert sorted(done) == [c.start for c in geometry._chunks(512, 1000)[1::2]]
 
-    def test_fork_child_gets_its_own_pool(self):
+        # when the caller and a worker both fail, the caller's error wins
+        def both(rows, x, y):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.005)
+                raise ValueError("the caller's chunk failed")
+            raise RuntimeError("a worker's chunk failed")
+
+        with pytest.raises(ValueError, match="caller's chunk"):
+            pairwise_chunks(nodes, targets, both)
+
+        # among workers, the lowest-numbered one's error wins, whichever
+        # fails first
+        monkeypatch.setattr(geometry, "WORKERS", 3)
+        owner = {c.start: w % 3 for w, c in enumerate(geometry._chunks(512, 1000))}
+
+        def workers_fail(rows, x, y):
+            worker = owner[rows.start]
+            if worker == 1:
+                time.sleep(0.02)
+            if worker:
+                raise RuntimeError(f"worker {worker} failed")
+
+        with pytest.raises(RuntimeError, match="worker 1 failed"):
+            pairwise_chunks(nodes, targets, workers_fail)
+
+    def test_fork_after_a_threaded_call(self):
         # a child forked after a threaded call must not wait on its
         # parent's threads: the timeout turns a deadlock into a failure
         code = textwrap.dedent(
@@ -411,12 +453,10 @@ class TestPairwiseDifferences:
             curve = np.exp(2j * np.pi * np.arange(512) / 512)
             pts = np.linspace(-2.0, 2.0, 5000) + 0.1j
             ref = geometry.winding_number(curve, pts)
-            assert geometry._pool is not None
             pid = os.fork()
             if pid == 0:
-                fresh = geometry._pool is None
                 same = np.array_equal(geometry.winding_number(curve, pts), ref)
-                os._exit(0 if fresh and same else 1)
+                os._exit(0 if same else 1)
             _, status = os.waitpid(pid, 0)
             raise SystemExit(os.waitstatus_to_exitcode(status))
             """

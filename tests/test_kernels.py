@@ -321,14 +321,14 @@ class TestAssembly:
 
     def test_coincident_nodes_in_a_pool_chunk(self, monkeypatch):
         # one hole runs through one point twice, at rows 260 and 300 of 384;
-        # the caller gets the pool thread's error, and the next call works
+        # the caller gets the worker thread's error, and the next call works
         monkeypatch.setattr(geometry, "WORKERS", 2)
         good = two_component_bp(128)
         eta, eta_dot = np.vstack([good.eta, good.eta[1:]]), np.vstack([good.eta_dot, good.eta_dot[1:]])
         eta[2] = 0.5 * good.eta[1] - 0.2  # a second hole, clear of the first
         eta[2, 44] = eta[2, 4]
-        pool_rows = geometry._chunks(384, 384)[1::2]
-        assert all(any(c.start <= i < c.stop for c in pool_rows) for i in (260, 300))
+        worker_rows = geometry._chunks(384, 384)[1::2]
+        assert all(any(c.start <= i < c.stop for c in worker_rows) for i in (260, 300))
         with pytest.raises(sc.GeometryError, match="coincident"):
             KernelSet(BoundaryParametrization(eta, eta_dot), np.full(3, np.pi / 2))
         ks = KernelSet(good, np.full(2, np.pi / 2))
@@ -376,6 +376,10 @@ class TestConstruction:
         bp = two_component_bp(64)
         with pytest.raises(ValueError, match="theta"):
             KernelSet(bp, [np.pi / 2])
+        # a non-finite angle is named, not left to warn or spread NaN
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                KernelSet(bp, [np.pi / 2, bad])
 
 
 class TestReangle:
@@ -425,6 +429,11 @@ class TestReangle:
         ks = KernelSet(two_component_bp(64), [np.pi / 2, 0.1])
         with pytest.raises(ValueError, match="theta"):
             ks.reangle([0.0])
+        N, M1 = ks.N.copy(), ks.M1.copy()
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                ks.reangle([np.pi / 2, bad])
+        assert np.array_equal(ks.N, N) and np.array_equal(ks.M1, M1)
 
 
 @pytest.fixture

@@ -369,7 +369,7 @@ class TestCauchySums:
             assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
 
     def test_coincident_node_in_a_pool_chunk(self, monkeypatch):
-        # the pool thread's division by zero warns under its own errstate
+        # the worker thread's division by zero warns under its own errstate
         # unless the body sets one
         monkeypatch.setattr(geometry, "WORKERS", 2)
         nodes, weights, values, targets = self.problem(nt=50)
