@@ -5,7 +5,6 @@ from .capacity import (
     CondenserSpec,
     capacity,
     capacity_study,
-    elliptic_K,
     exact_cap_horizontal,
     exact_cap_vertical,
     mu,
@@ -72,7 +71,6 @@ __all__ = [
     "capacity_study",
     "cauchy_eval",
     "complex_potential",
-    "elliptic_K",
     "exact_cap_horizontal",
     "exact_cap_vertical",
     "extract_slit_images",

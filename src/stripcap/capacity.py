@@ -19,7 +19,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GeometryError, StripcapError
-from .geometry import HALF_PI, SlitSpec, StripSlitDomain, psi_inv, segment_distance
+from .geometry import (
+    HALF_PI,
+    SlitSpec,
+    StripSlitDomain,
+    as_points,
+    psi_inv,
+    segment_distance,
+    winding_number,
+)
 from .preimage import IterationConfig, iterate
 from .solver import solve_bie
 
@@ -34,14 +42,6 @@ def _agm(a, b):
     while abs(a - b) > 1e-15 * a:
         a, b = 0.5 * (a + b), np.sqrt(a * b)
     return a
-
-
-def elliptic_K(r):
-    """Complete elliptic integral of the first kind: K(r) = pi / (2 AGM(1, r'))
-    with the complementary modulus r' = sqrt(1 - r^2)."""
-    if not (0.0 <= r < 1.0):
-        raise ValueError(f"elliptic_K requires 0 <= r < 1, got {r}")
-    return np.pi / (2.0 * _agm(1.0, np.sqrt((1.0 - r) * (1.0 + r))))
 
 
 def mu(r):
@@ -113,10 +113,11 @@ def charges_from_boundary(ks, alphas):
     ``ks`` is a kernel on the geometry, which this call owns: it is
     re-angled in place to the angle pi/2 on every component, which makes
     A(t) = eta(t) - alpha.  ``alphas`` holds one point strictly inside each
-    hole.  The data log|eta - alpha_k| of the m plates form one (m, m+1, n)
-    block, solved through the integral equation in a single ``solve_bie``
-    call (one Krylov space for all plates), and the resulting piecewise
-    constants h_{j,k} fill an (m+1) x (m+1) system
+    hole, in hole order (ValueError otherwise).  The data log|eta - alpha_k|
+    of the m plates form one (m, m+1, n) block, solved through the integral
+    equation in a single ``solve_bie`` call (one Krylov space for all
+    plates), and the resulting piecewise constants h_{j,k} fill an
+    (m+1) x (m+1) system
 
         sum_k h_{j,k} a_k + c = (0 on the circle, 1 on every plate)
 
@@ -126,8 +127,15 @@ def charges_from_boundary(ks, alphas):
     """
     bp = ks.bp
     m = bp.m
+    alphas, _ = as_points(alphas)
+    if alphas.size != m:
+        raise ValueError(f"alphas must hold one point per hole, {m}, got {alphas.size}")
+    for k, (hole, alpha) in enumerate(zip(bp.eta[1:], alphas)):
+        # holes run clockwise; a node itself is on the hole, not inside it
+        if winding_number(hole, alpha) != -1 or (hole == alpha).any():
+            raise ValueError(f"alphas[{k}] = {alpha} does not lie inside hole {k + 1}")
     ks.reangle(np.full(m + 1, HALF_PI))
-    gammas = np.log(np.abs(bp.eta - np.asarray(alphas)[:, None, None]))
+    gammas = np.log(np.abs(bp.eta - alphas[:, None, None]))
     H = solve_bie(ks, gammas).h.T
     system = np.hstack([H, np.ones((m + 1, 1))])
     rhs = np.concatenate([[0.0], np.ones(m)])

@@ -11,7 +11,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .geometry import HALF_PI, point_segment_distance
+from .geometry import HALF_PI, as_points, point_segment_distance
 from .stripmap import build_map, inverse_map
 
 
@@ -71,13 +71,12 @@ def complex_potential(pre, upsilon, points):
     the strip GeometryError, and a point inside it that the sampled outer
     boundary does not resolve gives nan+nanj.
     """
-    pts_in = np.asarray(points, dtype=complex)
-    pts = np.atleast_1d(pts_in)
+    pts, shaped = as_points(points)
     w = inverse_map(pre.map, pts)
     vals = np.full(pts.shape, complex(np.nan, np.nan))
     ok = np.isfinite(w)
     vals[ok] = upsilon.eval(w[ok])
-    return vals if pts_in.ndim else complex(vals[0])
+    return shaped(vals)
 
 
 def slit_stream_levels(upsilon):

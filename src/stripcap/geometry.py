@@ -25,32 +25,34 @@ HALF_PI = 0.5 * np.pi
 # ---------------------------------------------------------------------------
 
 
+def as_points(points):
+    """``(flat, shaped)`` for evaluation points, the one gate every function
+    that takes them goes through: ``flat`` holds the points of a scalar or of
+    an array of any shape in one complex array, a non-finite point raises
+    ValueError, and ``shaped(out)`` gives per-point results back as a Python
+    scalar for a scalar and in the input's shape otherwise."""
+    arr = np.asarray(points, dtype=complex)
+    flat = arr.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"evaluation points must be finite, got {flat[~np.isfinite(flat)][:3]}")
+    return flat, lambda out: out.reshape(arr.shape) if arr.ndim else out.item()
+
+
 def psi(w):
     """Map the unit disk onto the strip ``|Im| < pi/2``: log((1+w)/(1-w)).
 
     Principal branch; ``w = +-1`` are the poles and are rejected.
     """
-    w = np.asarray(w, dtype=complex)
+    w, shaped = as_points(w)
     if np.any(w == 1.0) or np.any(w == -1.0):
         raise GeometryError("psi is singular at w = +1 and w = -1")
-    out = np.log((1.0 + w) / (1.0 - w))
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return shaped(np.log((1.0 + w) / (1.0 - w)))
 
 
 def psi_inv(zeta):
     """Inverse of :func:`psi`: tanh(zeta/2), entire on the strip."""
-    out = np.tanh(np.asarray(zeta, dtype=complex) / 2.0)
-    if out.ndim == 0:
-        return complex(out)
-    return out
-
-
-def psi_inv_deriv(zeta):
-    """d/dzeta tanh(zeta/2) = (1 - tanh(zeta/2)^2)/2."""
-    th = np.tanh(np.asarray(zeta, dtype=complex) / 2.0)
-    return 0.5 * (1.0 - th * th)
+    zeta, shaped = as_points(zeta)
+    return shaped(np.tanh(zeta / 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +311,9 @@ class BoundaryParametrization:
     """Sampled boundary of a multiply connected domain inside the unit disk.
 
     ``eta`` and ``eta_dot`` have shape (m+1, n): row 0 is the unit circle
-    (counterclockwise), rows 1..m the hole boundaries (clockwise).  Immutable
-    after construction.
+    (counterclockwise), rows 1..m the hole boundaries (clockwise).  Both
+    must be finite and ``eta_dot`` nonzero at every node.  Immutable after
+    construction.
     """
 
     def __init__(self, eta, eta_dot):
@@ -319,6 +322,11 @@ class BoundaryParametrization:
         if eta.shape != eta_dot.shape or eta.ndim != 2:
             raise ValueError("eta and eta_dot must share a 2-D shape")
         _check_pow2(eta.shape[1])
+        for name, values in (("eta", eta), ("eta_dot", eta_dot)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite at every node")
+        if (eta_dot == 0).any():
+            raise ValueError("eta_dot must be nonzero at every node")
         self.eta = eta
         self.eta_dot = eta_dot
         self.eta.setflags(write=False)
@@ -424,9 +432,7 @@ def pairwise_chunks(nodes, targets, body):
 def winding_number(curve, w):
     """Discrete winding number of a sampled closed curve about point(s) w."""
     curve = np.asarray(curve)
-    w_in = np.asarray(w, dtype=complex)
-    scalar = w_in.ndim == 0
-    wv = np.atleast_1d(w_in)
+    wv, shaped = as_points(w)
     res = np.empty(wv.shape[0], dtype=int)
 
     def count(rows, x, y):
@@ -441,16 +447,17 @@ def winding_number(curve, w):
         res[rows] = np.rint(np.arctan2(im, re).sum(axis=1) / (2.0 * np.pi))
 
     pairwise_chunks(curve, wv, count)
-    return int(res[0]) if scalar else res
+    return shaped(res)
 
 
 def build_preimage_boundary(params, n):
     """Boundary of the preimage domain from a list of ellipse parameters.
 
     Component 0 is the unit circle; components 1..m are psi_inv images of
-    the ellipses, with derivatives by the chain rule.  Raises OverlapError
-    if two of the resulting curves cross or one lies inside the other, and
-    GeometryError if a curve leaves the strip or the open unit disk.
+    the ellipses, with derivatives by the chain rule and psi_inv' =
+    (1 - psi_inv^2)/2.  Raises OverlapError if two of the resulting curves
+    cross or one lies inside the other, and GeometryError if a curve leaves
+    the strip or the open unit disk.
     """
     _check_pow2(n)
     t = 2.0 * np.pi * np.arange(n) / n
@@ -464,7 +471,7 @@ def build_preimage_boundary(params, n):
         if np.abs(hat.imag).max() >= HALF_PI:
             raise GeometryError(f"ellipse {j} leaves the strip")
         eta[j] = psi_inv(hat)
-        eta_dot[j] = psi_inv_deriv(hat) * hat_dot
+        eta_dot[j] = 0.5 * (1.0 - eta[j] * eta[j]) * hat_dot
         if np.abs(eta[j]).max() >= 1.0:
             raise GeometryError(f"curve {j} touches the unit circle")
     # the sampled polylines overlap if two of their edges cross, or else if

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GeometryError
-from .geometry import pairwise_chunks
+from .geometry import as_points, pairwise_chunks
 from .kernels import _mapped
 
 TOL = 1e-14
@@ -219,10 +219,8 @@ def cauchy_eval(bnodes, bder, bvalues, points):
     bnodes = np.asarray(bnodes, dtype=complex).reshape(-1)
     bder = np.asarray(bder, dtype=complex).reshape(-1)
     bvalues = np.asarray(bvalues, dtype=complex).reshape(-1)
-    pts = np.atleast_1d(np.asarray(points, dtype=complex))
-    if not np.isfinite(pts).all():
-        raise ValueError(f"evaluation points must be finite, got {pts[~np.isfinite(pts)][:3]}")
+    pts, shaped = as_points(points)
     num, den, dmin = cauchy_sums(bnodes, bder, bvalues, pts)
     if (dmin < 1e-13).any():
         raise GeometryError("evaluation point lies on the boundary")
-    return num / den
+    return shaped(num / den)

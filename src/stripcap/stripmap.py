@@ -21,6 +21,7 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import (
     HALF_PI,
+    as_points,
     psi,
     psi_inv,
     trig_derivative,
@@ -105,12 +106,11 @@ class MapData:
         per hole would cost the flow grid about half again (3.4 s against
         2.3 s for criterion 9's 400x200 grid on the channel at n=512).
         """
-        pts = np.atleast_1d(np.asarray(points, dtype=complex))
-        if (np.abs(pts[np.isfinite(pts)]) >= 1.0).any():
+        pts, shaped = as_points(points)
+        if (np.abs(pts) >= 1.0).any():
             raise GeometryError("evaluation point outside the unit disk")
         fvals = cauchy_eval(self.bp.eta, self.bp.eta_dot, self.f_boundary, pts)
-        out = self._affine(pts, fvals) + psi(pts)
-        return out if np.asarray(points).ndim else complex(out[0])
+        return shaped(self._affine(pts, fvals) + psi(pts))
 
 
 def build_map(ks):
@@ -164,15 +164,12 @@ def inverse_map(md, points):
     beyond what n nodes resolve) or where psi_inv rounds it to within 1e-13
     of the nodes +-1 of zeta~_0 (|Re z| beyond about 30.6, at every n).
     """
-    pts_in = np.asarray(points, dtype=complex)
-    pts = np.atleast_1d(pts_in)
-    if not np.isfinite(pts).all():
-        raise ValueError(f"evaluation points must be finite, got {pts[~np.isfinite(pts)][:3]}")
+    pts, shaped = as_points(points)
     if np.any(np.abs(pts.imag) >= HALF_PI):
         raise GeometryError("point outside the strip")
     zt = psi_inv(pts)
     inside = (winding_number(md.zeta_tilde[0], zt) == 1) & ~_near_poles(zt)
     vals = np.full(pts.shape, complex(np.nan, np.nan))
     vals[inside] = cauchy_eval(md.zeta_tilde, md.zeta_tilde_dot, md.bp.eta, zt[inside])
-    return vals if pts_in.ndim else complex(vals[0])
+    return shaped(vals)
 

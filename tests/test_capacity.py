@@ -22,7 +22,6 @@ from stripcap.capacity import (
     capacity,
     capacity_study,
     charges_from_boundary,
-    elliptic_K,
     exact_cap_horizontal,
     exact_cap_vertical,
     mu,
@@ -33,16 +32,6 @@ FAST = IterationConfig(n=128, eps=1e-13)
 
 
 class TestSpecialFunctions:
-    def test_elliptic_K_vs_mpmath(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 30
-        for r in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
-            ref = float(mpmath.ellipk(r * r))  # mpmath takes m = r^2
-            assert elliptic_K(r) == pytest.approx(ref, rel=1e-14)
-
-    def test_K_at_zero(self):
-        assert elliptic_K(0.0) == pytest.approx(np.pi / 2, rel=1e-15)
-
     def test_mu_duality(self):
         for r in (0.1, 0.4, 0.6, 0.95):
             rp = np.sqrt(1 - r * r)

@@ -16,7 +16,6 @@ from stripcap.geometry import (
     _spectrum,
     pairwise_chunks,
     point_segment_distance,
-    psi_inv_deriv,
     segment_distance,
     segments_cross,
     trig_extrema,
@@ -61,10 +60,20 @@ class TestStripMaps:
         assert sc.psi_inv(z) == pytest.approx(np.tanh(z / 2))
 
     def test_psi_inv_deriv_matches_finite_difference(self):
-        z = np.array([0.1 + 0.4j, -1.0 - 0.2j, 2.0 + 1.0j])
+        # build_preimage_boundary's eta_dot, by psi_inv' = (1 - psi_inv^2)/2,
+        # against a central difference of eta(t) = psi_inv(ellipse(t))
+        p = sc.EllipseParams(z=0.3 + 0.2j, a=0.7, theta=0.4, r=0.35)
+        bp = sc.build_preimage_boundary([p], 64)
+        t = 2 * np.pi * np.arange(64) / 64
+
+        rot = 0.5 * p.a * np.exp(1j * p.theta)
+
+        def eta(t):
+            return sc.psi_inv(p.z + rot * (np.cos(t) - 1j * p.r * np.sin(t)))
+
         h = 1e-6
-        fd = (sc.psi_inv(z + h) - sc.psi_inv(z - h)) / (2 * h)
-        assert np.abs(psi_inv_deriv(z) - fd).max() < 1e-9
+        assert np.abs(bp.eta[1] - eta(t)).max() < 1e-15
+        assert np.abs(bp.eta_dot[1] - (eta(t + h) - eta(t - h)) / (2 * h)).max() < 1e-9
 
     def test_psi_maps_circle_to_walls(self):
         t = 2 * np.pi * np.arange(8, 264) / 512

@@ -8,7 +8,7 @@ import pytest
 
 import stripcap as sc
 from stripcap import geometry
-from stripcap.geometry import BoundaryParametrization, psi_inv, psi_inv_deriv
+from stripcap.geometry import BoundaryParametrization, psi_inv
 from stripcap.kernels import KernelSet, singular_cot_part
 
 from conftest import CHANNEL_SLITS, FOUR_SLITS
@@ -87,7 +87,7 @@ class TestDiagonal:
             hat_dot = -0.5 * p.a * np.exp(1j * p.theta) * (
                 np.sin(t) + 1j * p.r * np.cos(t)
             )
-            return psi_inv_deriv(hat) * hat_dot
+            return 0.5 * (1.0 - psi_inv(hat) ** 2) * hat_dot
 
         t0 = 2 * np.pi * 17 / bp.n
         alpha = ks.alpha
@@ -167,7 +167,7 @@ class TestConjugation:
                 np.sin(tq) + 1j * p.r * np.cos(tq)
             )
             eta[1] = psi_inv(hat)
-            eta_dot[1] = psi_inv_deriv(hat) * hat_dot
+            eta_dot[1] = 0.5 * (1.0 - eta[1] * eta[1]) * hat_dot
             return eta, eta_dot
 
         eta_off, eta_dot_off = boundary(t_off)

@@ -94,7 +94,9 @@ class TestEval:
         assert np.isfinite(w[0])
         assert np.isnan(w[1:].real).all() and np.isnan(w[1:].imag).all()
 
-    @pytest.mark.parametrize("point", [np.nan, complex(np.nan, 0.1), np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "point", [np.nan, complex(np.nan, 0.1), np.inf, -np.inf, complex(np.inf, np.inf)]
+    )
     def test_non_finite_point_rejected(self, four_slit_pre, point):
         with pytest.raises(ValueError, match="evaluation points must be finite"):
             inverse_map(four_slit_pre.map, np.array([0.1, point]))
