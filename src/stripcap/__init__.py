@@ -7,7 +7,6 @@ from .capacity import (
     capacity_study,
     exact_cap_horizontal,
     exact_cap_vertical,
-    mu,
 )
 from .errors import (
     ConvergenceError,
@@ -78,7 +77,6 @@ __all__ = [
     "initialize",
     "inverse_map",
     "iterate",
-    "mu",
     "parametrize_ellipse",
     "psi",
     "psi_inv",

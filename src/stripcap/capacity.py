@@ -8,8 +8,8 @@ plain base-point function A(t) = eta(t) - alpha (constant angle pi/2 on
 every component), the standard choice for Dirichlet problems; it is the
 preimage iteration's last kernel, re-angled rather than assembled again.
 
-Exact references for single-slit plates come from the Grotzsch ring modulus
-mu(r) built on arithmetic-geometric-mean elliptic integrals.
+Exact references for single-slit plates are 2*pi/mu(r), mu(r) = (pi/2)
+K(r')/K(r) the Grotzsch ring modulus, with K computed by the AGM.
 """
 
 import inspect
@@ -23,7 +23,9 @@ from .geometry import (
     HALF_PI,
     SlitSpec,
     StripSlitDomain,
+    as_int,
     as_points,
+    as_real,
     psi_inv,
     segment_distance,
     winding_number,
@@ -44,14 +46,6 @@ def _agm(a, b):
     return a
 
 
-def mu(r):
-    """Modulus of the Grotzsch ring: (pi/2) K(r') / K(r), which is
-    (pi/2) AGM(1, r') / AGM(1, r)."""
-    if not (0.0 < r < 1.0):
-        raise ValueError(f"mu requires 0 < r < 1, got {r}")
-    return HALF_PI * _agm(1.0, np.sqrt((1.0 - r) * (1.0 + r))) / _agm(1.0, r)
-
-
 # The exact capacities are 2*pi / mu(r) = 4 AGM(1, r) / AGM(1, r').  Both
 # moduli come from s directly: r' formed from a rounded r loses digits as r
 # nears 0 or 1.
@@ -59,16 +53,14 @@ def mu(r):
 
 def exact_cap_vertical(s):
     """cap(S, [-s*i, s*i]) = 2*pi / mu(sin s) for 0 < s < pi/2."""
-    if not (0.0 < s < HALF_PI):
-        raise ValueError(f"vertical slit half-length must be in (0, pi/2), got {s}")
+    s = as_real("vertical slit half-length", s, 0.0, HALF_PI, lo_open=True, hi_open=True)
     return 4.0 * _agm(1.0, np.sin(s)) / _agm(1.0, np.cos(s))
 
 
 def exact_cap_horizontal(s):
     """cap(S, [-s, s]) = 2*pi / mu(tanh s) for 0 < s < 700 (cosh s overflows
     a double past 710)."""
-    if not (0.0 < s < 700.0):
-        raise ValueError(f"horizontal slit half-length must be in (0, 700), got {s}")
+    s = as_real("horizontal slit half-length", s, 0.0, 700.0, lo_open=True, hi_open=True)
     return 4.0 * _agm(1.0, np.tanh(s)) / _agm(1.0, 1.0 / np.cosh(s))
 
 
@@ -85,17 +77,12 @@ class CondenserSpec:
     delta: tuple = None
 
     def __post_init__(self):
-        delta = self.delta
-        if delta is None:
-            delta = (1.0,) * self.domain.m
-        delta = tuple(float(d) for d in delta)
+        delta = (1.0,) * self.domain.m if self.delta is None else self.delta
+        delta = tuple(as_real(f"potential level delta[{i}]", d) for i, d in enumerate(delta))
         if len(delta) != self.domain.m:
             raise ValueError(
                 f"need {self.domain.m} potential levels, got {len(delta)}"
             )
-        for i, d in enumerate(delta):
-            if not np.isfinite(d):
-                raise ValueError(f"potential level delta[{i}] is not finite: {d}")
         object.__setattr__(self, "delta", delta)
 
 
@@ -104,6 +91,7 @@ class CapacityResult:
     cap: float
     a: np.ndarray
     c: float
+    charge_h_dev: np.ndarray
     preimage: object
 
 
@@ -123,7 +111,10 @@ def charges_from_boundary(ks, alphas):
 
     solved by direct elimination.  The charges a_k belong to the unit
     potential (value 1 on every plate); potential levels enter only in the
-    final weighted sum 2*pi*sum(delta_k * a_k).  Returns (a, c).
+    final weighted sum 2*pi*sum(delta_k * a_k).  Returns (a, c, h_dev),
+    ``h_dev`` holding each plate's largest ``h_dev``: the spread of the field
+    the theory makes constant on a component, which tells how well the
+    solve resolved the plate.
     """
     bp = ks.bp
     m = bp.m
@@ -136,14 +127,14 @@ def charges_from_boundary(ks, alphas):
             raise ValueError(f"alphas[{k}] = {alpha} does not lie inside hole {k + 1}")
     ks.reangle(np.full(m + 1, HALF_PI))
     gammas = np.log(np.abs(bp.eta - alphas[:, None, None]))
-    H = solve_bie(ks, gammas).h.T
-    system = np.hstack([H, np.ones((m + 1, 1))])
+    sol = solve_bie(ks, gammas)
+    system = np.hstack([sol.h.T, np.ones((m + 1, 1))])
     rhs = np.concatenate([[0.0], np.ones(m)])
     try:
         coeffs = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
         raise GeometryError(f"singular charge system: {exc}") from exc
-    return coeffs[:m], float(coeffs[m])
+    return coeffs[:m], float(coeffs[m]), sol.h_dev.max(axis=1)
 
 
 def capacity(spec, cfg=IterationConfig()):
@@ -153,9 +144,9 @@ def capacity(spec, cfg=IterationConfig()):
     pre.require_converged()
     # a point inside hole k: the image of the ellipse center
     alphas = [psi_inv(p.z) for p in pre.params]
-    a, c = charges_from_boundary(pre.take_kernel(), alphas)
+    a, c, h_dev = charges_from_boundary(pre.take_kernel(), alphas)
     cap = 2.0 * np.pi * float(np.dot(spec.delta, a))
-    return CapacityResult(cap=cap, a=a, c=c, preimage=pre)
+    return CapacityResult(cap=cap, a=a, c=c, charge_h_dev=h_dev, preimage=pre)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +195,9 @@ def capacity_study(samples):
 
 def _sweep(layout):
     """A family swept over ``values``: the sample (p, *layout(p)) per value p."""
-    return lambda values: [(p, *layout(float(p))) for p in values]
+    return lambda values: [
+        (p, *layout(as_real(f"study.values[{i}]", p))) for i, p in enumerate(values)
+    ]
 
 
 def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
@@ -213,13 +206,10 @@ def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
     box_height]); rejection sampling keeps pairwise slit distance >= 1e-3.
     Each layout clamps r by two_vertical's rule, gap / (2 ell), over the
     pairs of slits whose real ranges overlap."""
-    if m < 1:
-        raise ValueError(f"study.m must be >= 1, got {m}")
-    if count < 0:
-        raise ValueError(f"study.count must be >= 0, got {count}")
-    if not 0.0 <= box_height < np.inf:
-        raise ValueError(f"study.box_height must be finite and >= 0, got {box_height}")
-    rng = np.random.default_rng(seed)
+    m = as_int("study.m", m, 1)
+    count = as_int("study.count", count, 0)
+    box_height = as_real("study.box_height", box_height, 0.0)
+    rng = np.random.default_rng(as_int("study.seed", seed, 0))
     ell = 2.0 / m
     layouts = []
     for trial in range(count):

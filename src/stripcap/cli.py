@@ -170,6 +170,7 @@ def cmd_capacity(args, problem, cfg):
         "cap": res.cap,
         "a": list(res.a),
         "c": res.c,
+        "charge_h_dev": res.charge_h_dev.tolist(),
         "delta": list(spec.delta),
     }
     if args.exact:

@@ -7,11 +7,10 @@ then sit on level curves of the imaginary part.
 """
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .geometry import HALF_PI, as_points, point_segment_distance
+from .geometry import HALF_PI, as_int, as_points, as_real, point_segment_distance
 from .stripmap import build_map, inverse_map
 
 
@@ -26,12 +25,9 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("x_min", "x_max", "y_min", "y_max"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"grid bound {name} is not finite")
+            object.__setattr__(self, name, as_real(f"grid bound {name}", getattr(self, name)))
         for name in ("nx", "ny"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
-                raise ValueError(f"{name} must be an int >= 2, got {value!r}")
+            object.__setattr__(self, name, as_int(name, getattr(self, name), 2))
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("empty grid range")
 
@@ -95,8 +91,7 @@ def stream_grid(pre, upsilon, grid, exclusion=0.02):
     gives NaN; the last kind is counted in ``failures``.  All unmasked
     points go through one batched complex_potential call.
     """
-    if not (np.isfinite(exclusion) and exclusion >= 0.0):
-        raise ValueError(f"exclusion must be finite and >= 0, got {exclusion!r}")
+    exclusion = as_real("exclusion", exclusion, 0.0)
     xs, ys = grid.axes()
     X, Y = np.meshgrid(xs, ys)
     Z = X + 1j * Y

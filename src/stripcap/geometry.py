@@ -12,6 +12,7 @@ import cmath
 import os
 import threading
 from dataclasses import dataclass
+from numbers import Complex, Integral, Real
 
 import numpy as np
 
@@ -38,6 +39,32 @@ def as_points(points):
     return flat, lambda out: out.reshape(arr.shape) if arr.ndim else out.item()
 
 
+def _is_number(value, kind):
+    """Whether ``value`` is a ``kind`` (a ``numbers`` ABC) and not a bool."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def as_int(name, value, lo):
+    """``value`` as a Python int, the one gate for integer settings: a bool,
+    a non-integer or a value below ``lo`` raises ValueError naming ``name``."""
+    if not (_is_number(value, Integral) and value >= lo):
+        raise ValueError(f"{name} must be an int >= {lo}, got {value!r}")
+    return int(value)
+
+
+def as_real(name, value, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False):
+    """``value`` as a Python float, the one gate for real settings: a bool, a
+    non-number, a non-finite value or one outside [lo, hi] (an end open when
+    ``lo_open``/``hi_open``) raises ValueError naming ``name`` and the range."""
+    x = float(value) if _is_number(value, Real) else np.nan
+    if np.isfinite(x) and (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi):
+        return x
+    want = f"finite and {'>' if lo_open else '>='} {lo:.17g}" if lo > -np.inf else "a finite number"
+    if hi < np.inf:
+        want = f"in {'(' if lo_open else '['}{lo:.17g}, {hi:.17g}{')' if hi_open else ']'}"
+    raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
 def psi(w):
     """Map the unit disk onto the strip ``|Im| < pi/2``: log((1+w)/(1-w)).
 
@@ -60,9 +87,11 @@ def psi_inv(zeta):
 # ---------------------------------------------------------------------------
 
 
-def _check_pow2(n):
-    if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"node count must be a power of two >= 8, got {n}")
+def _check_pow2(n, name="node count"):
+    n = as_int(name, n, 8)
+    if n & (n - 1):
+        raise ValueError(f"{name} must be a power of two >= 8, got {n}")
+    return n
 
 
 def trig_derivative(samples):
@@ -164,7 +193,7 @@ class SlitSpec:
     def __post_init__(self):
         for name in ("a", "b"):
             z = getattr(self, name)
-            if not cmath.isfinite(z):
+            if not (_is_number(z, Complex) and cmath.isfinite(z)):
                 raise GeometryError(f"slit endpoint {name} is not finite: {z}")
         if abs(self.a.imag) >= HALF_PI or abs(self.b.imag) >= HALF_PI:
             raise GeometryError(
@@ -258,11 +287,12 @@ class StripSlitDomain:
         for i, entry in enumerate(data["slits"]):
             try:
                 (ax, ay), (bx, by) = entry["a"], entry["b"]
+                ax, ay, bx, by = (as_real(f"slits[{i}]", v) for v in (ax, ay, bx, by))
                 ends = complex(ax, ay), complex(bx, by)
             except (KeyError, TypeError, ValueError):
                 raise GeometryError(
                     f"slits[{i}] must be {{'a': [x, y], 'b': [x, y]}} with "
-                    f"numbers x, y, got {entry!r}"
+                    f"finite numbers x, y, got {entry!r}"
                 ) from None
             slits.append(SlitSpec(*ends))
         return cls(slits)
@@ -280,9 +310,9 @@ class EllipseParams:
     def __post_init__(self):
         for name in ("z", "a", "theta"):
             v = getattr(self, name)
-            if not cmath.isfinite(v):
+            if not (_is_number(v, Complex) and cmath.isfinite(v)):
                 raise GeometryError(f"ellipse {name} is not finite: {v}")
-        if not (0.0 < self.r <= 1.0):
+        if not (_is_number(self.r, Complex) and 0.0 < self.r <= 1.0):
             raise GeometryError(f"aspect ratio must be in (0, 1], got {self.r}")
         if self.a <= 0.0:
             raise GeometryError(f"major axis must be positive, got {self.a}")

@@ -7,16 +7,14 @@ All ellipses update simultaneously, with no damping.  The per-iteration
 error is the mean mismatch of centers and lengths against the targets.
 """
 
-import math
 import os
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConvergenceError, GeometryError, MemoryLimitError
-from .geometry import EllipseParams, build_preimage_boundary
+from .geometry import EllipseParams, _check_pow2, as_int, as_real, build_preimage_boundary
 from .kernels import KernelSet, dense_bytes
 from .stripmap import build_map, extract_slit_images
 
@@ -38,18 +36,11 @@ class IterationConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        for name in ("n", "max_iter"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
-        if self.n < 8 or self.n & (self.n - 1):
-            raise ValueError(f"n must be a power of two >= 8, got {self.n!r}")
-        for name, hi, interval in (("r", 1.0, "(0, 1]"), ("eps", math.inf, "(0, inf)")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not (
-                0.0 < value <= hi and math.isfinite(value)
-            ):
-                raise ValueError(f"{name} must be in {interval}, got {value!r}")
+        # keep the gates' doubles: a float32 r would carry single precision on
+        object.__setattr__(self, "n", _check_pow2(self.n, "n"))
+        object.__setattr__(self, "max_iter", as_int("max_iter", self.max_iter, 1))
+        object.__setattr__(self, "r", as_real("r", self.r, 0.0, 1.0, lo_open=True))
+        object.__setattr__(self, "eps", as_real("eps", self.eps, 0.0, lo_open=True))
 
 
 @dataclass(frozen=True)

@@ -212,10 +212,12 @@ def test_criterion_08_property_suite(four_slit_pre):
         bp.flat_eta, bp.flat_eta_dot, bp.flat_eta**4 - 2 * bp.flat_eta, pts
     )
     checks["cauchy"] = np.abs(vals - (pts**4 - 2 * pts)).max() <= 1e-12
-    # mu duality
+    # mu duality mu(r) mu(r') = pi^2/4, through the exact capacities
+    # 2 pi / mu(sin s): cap(s) cap(pi/2 - s) = 16, to the old 1e-12 on pi^2/4
     checks["mu duality"] = all(
-        abs(sc.mu(r) * sc.mu(np.sqrt(1 - r * r)) - np.pi**2 / 4) <= 1e-12
-        for r in (0.2, 0.5, 0.8)
+        abs(sc.exact_cap_vertical(s) * sc.exact_cap_vertical(HALF_PI - s) / 16 - 1)
+        <= 1e-12 / (np.pi**2 / 4)
+        for s in np.arcsin([0.2, 0.5, 0.8])
     )
     # translation invariance
     c1 = cap_of([(-0.4 - 0.3j, 0.4 + 0.1j)], n=128, eps=1e-13)

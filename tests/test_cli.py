@@ -160,6 +160,13 @@ class TestCommands:
         rel = float(proc.stderr.split("relative error = ")[1].split()[0])
         assert rel < 1e-6  # n = 64 smoke run; accuracy is tested elsewhere
 
+    def test_capacity_record_has_charge_h_dev(self, tmp_path):
+        proc = run_cli(["capacity", "--input", write_problem(tmp_path, SMALL)])
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert len(doc["charge_h_dev"]) == len(doc["a"]) == 1
+        assert 0.0 <= doc["charge_h_dev"][0] < 1e-3
+
     def test_capacity_default_delta_noted(self, tmp_path):
         path = write_problem(tmp_path, SMALL)
         proc = run_cli(["capacity", "--input", path])
@@ -442,7 +449,7 @@ class TestCommands:
         assert "-Infinity" in Path(path).read_text()
         proc = run_cli(["flow", "--input", path, "--out", str(tmp_path / "f.csv")])
         assert proc.returncode == 1
-        assert "grid bound x_min is not finite" in proc.stderr
+        assert "grid bound x_min must be a finite number" in proc.stderr
 
     def test_seed_only_on_study(self):
         for command in ("preimage", "capacity", "flow"):
@@ -458,7 +465,7 @@ class TestCommands:
         assert "NaN" in Path(path).read_text()
         proc = run_cli(["capacity", "--input", path])
         assert proc.returncode == 1
-        assert "slit endpoint a is not finite" in proc.stderr
+        assert "slits[0] must be {'a': [x, y], 'b': [x, y]} with finite numbers" in proc.stderr
 
     def test_non_finite_delta_exit_1(self, tmp_path):
         payload = dict(SMALL, delta=[float("nan")])
@@ -466,7 +473,7 @@ class TestCommands:
         assert "NaN" in Path(path).read_text()
         proc = run_cli(["capacity", "--input", path])
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: potential level delta[0] is not finite")
+        assert proc.stderr.startswith("error: potential level delta[0] must be a finite number")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "cap =" not in proc.stderr
 

@@ -195,5 +195,5 @@ class TestStreamGrid:
     def test_non_finite_bound_rejected(self, bound, value):
         limits = dict(x_min=-1.0, x_max=1.0, y_min=-1.0, y_max=1.0)
         limits[bound] = value
-        with pytest.raises(ValueError, match=f"grid bound {bound} is not finite"):
+        with pytest.raises(ValueError, match=f"grid bound {bound} must be a finite number"):
             GridSpec(**limits, nx=5, ny=5)

@@ -80,6 +80,11 @@ class TestStripMaps:
         w = np.exp(1j * t)
         assert np.abs(np.abs(sc.psi(w).imag) - HALF_PI).max() < 1e-12
 
+    @pytest.mark.parametrize("pole", [1.0, -1.0, [0.5, 1.0]])
+    def test_psi_rejects_its_poles(self, pole):
+        with pytest.raises(sc.GeometryError, match="singular at w = \\+1 and w = -1"):
+            sc.psi(pole)
+
 
 class TestTrigTools:
     def test_derivative_exact_on_trig_polynomials(self):
@@ -176,6 +181,12 @@ class TestSlitSpec:
         with pytest.raises(sc.GeometryError, match="endpoint b is not finite"):
             sc.SlitSpec(0.0, complex(0.0, np.nan))
 
+    def test_rejects_bool_and_non_number_endpoints(self):
+        with pytest.raises(sc.GeometryError, match="endpoint a is not finite: True"):
+            sc.SlitSpec(True, 2)
+        with pytest.raises(sc.GeometryError, match="endpoint b is not finite: 1"):
+            sc.SlitSpec(0.0, "1")
+
 
 class TestDistances:
     def test_point_segment_distance_vectorized(self):
@@ -240,6 +251,23 @@ class TestDomain:
         with pytest.raises(sc.GeometryError, match=r"slits\[1\] must be a SlitSpec, got \(0, 1\)"):
             sc.StripSlitDomain([sc.SlitSpec(-1j, 1j), (0, 1)])
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            pytest.param({"a": [0, 1]}, id="b-missing"),
+            pytest.param({"a": 1, "b": [1, 0]}, id="a-number"),
+            pytest.param({"a": [0, 1, 2], "b": [1, 0]}, id="a-triple"),
+            pytest.param({"a": [0, "1"], "b": [1, 0]}, id="a-string"),
+            pytest.param({"a": [0, True], "b": [1, 0]}, id="a-bool"),
+            pytest.param({"a": [0, float("nan")], "b": [1, 0]}, id="a-nan"),
+            pytest.param([0, 1], id="list"),
+        ],
+    )
+    def test_from_dict_malformed_entry_rejected(self, entry):
+        good = {"a": [-1, 0.5], "b": [1, 0.5]}
+        with pytest.raises(sc.GeometryError, match=r"^slits\[1\] must be \{'a': \[x, y\]"):
+            sc.StripSlitDomain.from_dict({"slits": [good, entry]})
+
 
 class TestEllipse:
     def test_parametrization_is_closed_clockwise(self):
@@ -276,6 +304,19 @@ class TestEllipse:
     def test_degenerate_ellipse_rejected(self, fields, message):
         with pytest.raises(sc.GeometryError, match=message):
             sc.EllipseParams(**{"z": 0.1, "a": 0.5, "theta": 0.0, "r": 0.2, **fields})
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("z", "ellipse z is not finite: True"),
+            ("a", "ellipse a is not finite: True"),
+            ("theta", "ellipse theta is not finite: True"),
+            ("r", r"aspect ratio must be in \(0, 1\], got True"),
+        ],
+    )
+    def test_bool_field_rejected(self, name, message):
+        with pytest.raises(sc.GeometryError, match=message):
+            sc.EllipseParams(**{"z": 0.1, "a": 0.5, "theta": 0.0, "r": 0.2, name: True})
 
 
 class TestWinding:

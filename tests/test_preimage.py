@@ -158,7 +158,7 @@ class TestIterate:
 class TestLadder:
     @staticmethod
     def capacity_of(pre):
-        a, _ = charges_from_boundary(
+        a, _, _ = charges_from_boundary(
             pre.take_kernel(), [psi_inv(p.z) for p in pre.params]
         )
         return 2.0 * np.pi * a.sum()

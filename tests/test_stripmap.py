@@ -1,5 +1,7 @@
 """Conformal map from the preimage domain onto the slit strip."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,13 @@ class TestEval:
 
 
 class TestHelpers:
+    def test_degenerate_slit_image_rejected(self):
+        # a hole whose image is one point has no slit to measure
+        circle = np.exp(2j * np.pi * np.arange(64) / 64)
+        md = SimpleNamespace(m=1, theta=np.zeros(2), zeta=np.vstack([circle, np.full(64, 0.3 + 0.1j)]))
+        with pytest.raises(GeometryError, match="slit image 1 is degenerate"):
+            extract_slit_images(md)
+
     def test_strip_gamma_shape(self, four_slit_pre):
         bp = four_slit_pre.map.bp
         theta = np.concatenate([[0.0], [s.theta for s in four_slit_pre.omega.slits]])
