@@ -78,6 +78,8 @@ class CondenserSpec:
 
     def __post_init__(self):
         delta = (1.0,) * self.domain.m if self.delta is None else self.delta
+        if np.ndim(delta) != 1:
+            raise ValueError(f"delta must be a sequence of potential levels, got {delta!r}")
         delta = tuple(as_real(f"potential level delta[{i}]", d) for i, d in enumerate(delta))
         if len(delta) != self.domain.m:
             raise ValueError(

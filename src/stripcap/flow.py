@@ -100,9 +100,7 @@ def stream_grid(pre, upsilon, grid, exclusion=0.02):
         mask &= point_segment_distance(Z, s.a, s.b) > exclusion
     psi_values = np.full(Z.shape, np.nan)
     psi_values[mask] = complex_potential(pre, upsilon, Z[mask]).imag
-    unresolved = ~np.isfinite(psi_values)
-    failures = int((mask & unresolved).sum())
-    psi_values[unresolved] = np.nan
+    failures = int((mask & ~np.isfinite(psi_values)).sum())
     return FlowField(
         grid=grid,
         psi_values=psi_values,

@@ -8,11 +8,10 @@ parameter nodes per component with spectral (FFT) differentiation, so ``n``
 is restricted to powers of two.
 """
 
-import cmath
 import os
 import threading
 from dataclasses import dataclass
-from numbers import Complex, Integral, Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -26,17 +25,28 @@ HALF_PI = 0.5 * np.pi
 # ---------------------------------------------------------------------------
 
 
+def as_array(name, values, dtype):
+    """``values`` as an array of ``dtype`` (float or complex), the one gate
+    for arrays of numbers: a bool, string or object array, a complex array
+    where ``dtype`` is float and a non-finite entry each raise ValueError
+    naming ``name``.  An array that already has ``dtype`` comes back itself."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        raise ValueError(f"{name} must hold {'real ' * (dtype is float)}numbers, not {arr.dtype}")
+    arr = arr.astype(dtype, copy=False)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][:3]}")
+    return arr
+
+
 def as_points(points):
     """``(flat, shaped)`` for evaluation points, the one gate every function
     that takes them goes through: ``flat`` holds the points of a scalar or of
     an array of any shape in one complex array, a non-finite point raises
     ValueError, and ``shaped(out)`` gives per-point results back as a Python
     scalar for a scalar and in the input's shape otherwise."""
-    arr = np.asarray(points, dtype=complex)
-    flat = arr.reshape(-1)
-    if not np.isfinite(flat).all():
-        raise ValueError(f"evaluation points must be finite, got {flat[~np.isfinite(flat)][:3]}")
-    return flat, lambda out: out.reshape(arr.shape) if arr.ndim else out.item()
+    arr = as_array("evaluation points", points, complex)
+    return arr.reshape(-1), lambda out: out.reshape(arr.shape) if arr.ndim else out.item()
 
 
 def _is_number(value, kind):
@@ -56,7 +66,10 @@ def as_real(name, value, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False):
     """``value`` as a Python float, the one gate for real settings: a bool, a
     non-number, a non-finite value or one outside [lo, hi] (an end open when
     ``lo_open``/``hi_open``) raises ValueError naming ``name`` and the range."""
-    x = float(value) if _is_number(value, Real) else np.nan
+    try:
+        x = float(value) if _is_number(value, Real) else np.nan
+    except OverflowError:  # an int beyond the doubles
+        x = np.nan
     if np.isfinite(x) and (lo < x if lo_open else lo <= x) and (x < hi if hi_open else x <= hi):
         return x
     want = f"finite and {'>' if lo_open else '>='} {lo:.17g}" if lo > -np.inf else "a finite number"
@@ -191,10 +204,12 @@ class SlitSpec:
     b: complex
 
     def __post_init__(self):
-        for name in ("a", "b"):
-            z = getattr(self, name)
-            if not (_is_number(z, Complex) and cmath.isfinite(z)):
-                raise GeometryError(f"slit endpoint {name} is not finite: {z}")
+        try:  # complex() raises TypeError for an array
+            for name in ("a", "b"):
+                z = as_array(f"slit endpoint {name}", getattr(self, name), complex)
+                object.__setattr__(self, name, complex(z))
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(str(exc)) from None
         if abs(self.a.imag) >= HALF_PI or abs(self.b.imag) >= HALF_PI:
             raise GeometryError(
                 f"slit endpoints must satisfy |Im| < pi/2: {self.a}, {self.b}"
@@ -308,14 +323,13 @@ class EllipseParams:
     r: float
 
     def __post_init__(self):
-        for name in ("z", "a", "theta"):
-            v = getattr(self, name)
-            if not (_is_number(v, Complex) and cmath.isfinite(v)):
-                raise GeometryError(f"ellipse {name} is not finite: {v}")
-        if not (_is_number(self.r, Complex) and 0.0 < self.r <= 1.0):
-            raise GeometryError(f"aspect ratio must be in (0, 1], got {self.r}")
-        if self.a <= 0.0:
-            raise GeometryError(f"major axis must be positive, got {self.a}")
+        try:  # complex() raises TypeError for an array
+            object.__setattr__(self, "z", complex(as_array("ellipse z", self.z, complex)))
+            object.__setattr__(self, "a", as_real("major axis a", self.a, 0.0, lo_open=True))
+            object.__setattr__(self, "theta", as_real("ellipse theta", self.theta))
+            object.__setattr__(self, "r", as_real("aspect ratio", self.r, 0.0, 1.0, lo_open=True))
+        except (TypeError, ValueError) as exc:
+            raise GeometryError(str(exc)) from None
 
 
 def parametrize_ellipse(p, n):
@@ -347,14 +361,11 @@ class BoundaryParametrization:
     """
 
     def __init__(self, eta, eta_dot):
-        eta = np.asarray(eta, dtype=complex)
-        eta_dot = np.asarray(eta_dot, dtype=complex)
+        eta = as_array("eta", eta, complex)
+        eta_dot = as_array("eta_dot", eta_dot, complex)
         if eta.shape != eta_dot.shape or eta.ndim != 2:
             raise ValueError("eta and eta_dot must share a 2-D shape")
         _check_pow2(eta.shape[1])
-        for name, values in (("eta", eta), ("eta_dot", eta_dot)):
-            if not np.isfinite(values).all():
-                raise ValueError(f"{name} must be finite at every node")
         if (eta_dot == 0).any():
             raise ValueError("eta_dot must be nonzero at every node")
         self.eta = eta
@@ -461,7 +472,7 @@ def pairwise_chunks(nodes, targets, body):
 
 def winding_number(curve, w):
     """Discrete winding number of a sampled closed curve about point(s) w."""
-    curve = np.asarray(curve)
+    curve = as_array("curve", curve, complex)
     wv, shaped = as_points(w)
     res = np.empty(wv.shape[0], dtype=int)
 

@@ -26,7 +26,7 @@ import mmap
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import pairwise_chunks, trig_derivative, winding_number
+from .geometry import as_array, pairwise_chunks, trig_derivative, winding_number
 
 
 def default_alpha(bp):
@@ -146,11 +146,9 @@ class KernelSet:
         self._w = 2.0 * np.pi / bp.n
 
     def _angles(self, theta):
-        theta = np.array(theta, dtype=float)
+        theta = as_array("theta", theta, float).copy()  # the kernel keeps it
         if theta.shape != (self.bp.m + 1,):
             raise ValueError(f"theta must have {self.bp.m + 1} entries")
-        if not np.isfinite(theta).all():
-            raise ValueError(f"theta must be finite, got {theta}")
         return theta
 
     def _base_function(self):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GeometryError
-from .geometry import as_points, pairwise_chunks
+from .geometry import as_array, as_points, pairwise_chunks
 from .kernels import _mapped
 
 TOL = 1e-14
@@ -19,9 +19,12 @@ class SolverStats:
     right-hand side of a solve; ``residual`` is an array of k, one
     max|rhs - (I-N) rho| per right-hand side (k = 1 for a single one)."""
 
-    iterations: int
     residual: np.ndarray
     history: list
+
+    @property
+    def iterations(self):
+        return len(self.history)
 
 
 @dataclass
@@ -121,15 +124,13 @@ def solve_bie(ks, gamma):
     constant on each component, so ``h_dev`` is pure discretization/solver
     noise.
     """
-    gamma = np.asarray(gamma, dtype=float)
+    gamma = as_array("right-hand data", gamma, float)
     rows = (ks.bp.m + 1, ks.bp.n)
     if gamma.ndim not in (2, 3) or gamma.shape[-2:] != rows:
         raise ValueError(
             f"right-hand data must have shape {rows} or (k, {rows[0]}, "
             f"{rows[1]}), got {gamma.shape}"
         )
-    if not np.all(np.isfinite(gamma)):
-        raise ValueError("right-hand data contains non-finite values")
     # the Krylov vectors hold one flat row per right-hand side
     rhs = -ks.apply_M(gamma).reshape(-1, ks.bp.eta.size)
     norms = np.linalg.norm(rhs, axis=1)
@@ -151,7 +152,7 @@ def solve_bie(ks, gamma):
     rho = np.ldexp(x.reshape(rhs.shape), exps).reshape(gamma.shape)
     residual = np.abs(np.ldexp(r.reshape(rhs.shape), exps)).max(axis=1)
     target = 10.0 * TOL * np.abs(rhs).max(axis=1)
-    missed = np.flatnonzero(residual > target)
+    missed = np.flatnonzero(~(residual <= target))  # a NaN residual misses too
     if missed.size:
         row = missed[0]
         raise ConvergenceError(
@@ -161,7 +162,7 @@ def solve_bie(ks, gamma):
             history=history,
         )
     field = 0.5 * (ks.apply_M(rho) - ks.apply_I_minus_N(gamma))
-    stats = SolverStats(iterations=len(history), residual=residual, history=history)
+    stats = SolverStats(residual=residual, history=history)
     return BieSolution(
         rho=rho, h=field.mean(axis=-1), h_dev=field.std(axis=-1), stats=stats
     )
@@ -213,12 +214,12 @@ def cauchy_eval(bnodes, bder, bvalues, points):
     normalized form reproduces constants exactly and sharpens accuracy near
     the boundary.  Points near the boundary are not refined.
 
-    Raises ValueError for a non-finite point and GeometryError when a point
-    sits on the boundary (within 1e-13).
+    Raises ValueError for a non-finite point or boundary entry and
+    GeometryError when a point sits on the boundary (within 1e-13).
     """
-    bnodes = np.asarray(bnodes, dtype=complex).reshape(-1)
-    bder = np.asarray(bder, dtype=complex).reshape(-1)
-    bvalues = np.asarray(bvalues, dtype=complex).reshape(-1)
+    bnodes = as_array("bnodes", bnodes, complex).reshape(-1)
+    bder = as_array("bder", bder, complex).reshape(-1)
+    bvalues = as_array("bvalues", bvalues, complex).reshape(-1)
     pts, shaped = as_points(points)
     num, den, dmin = cauchy_sums(bnodes, bder, bvalues, pts)
     if (dmin < 1e-13).any():

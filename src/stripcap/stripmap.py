@@ -21,6 +21,7 @@ import numpy as np
 from .errors import GeometryError
 from .geometry import (
     HALF_PI,
+    as_array,
     as_points,
     psi,
     psi_inv,
@@ -42,7 +43,7 @@ def strip_gamma(bp, theta):
     """Right-hand data for the slit-strip map, shape (m+1, n): 0 on the
     circle, the rotated height Im[e^{-i theta_j} psi(eta)] on each hole
     boundary."""
-    theta = np.asarray(theta, dtype=float)
+    theta = as_array("theta", theta, float)
     gamma = np.zeros((bp.m + 1, bp.n))
     for j in range(1, bp.m + 1):
         if _near_poles(bp.eta[j]).any():

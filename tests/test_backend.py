@@ -30,7 +30,7 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error"),
         check=True,
     )
     assert proc.stdout.strip() == "[]"
@@ -55,7 +55,7 @@ def test_import_starts_no_thread():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error"),
         check=True,
     )
     assert proc.stdout.split() == ["1", "[]"] * 2

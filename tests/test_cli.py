@@ -26,7 +26,7 @@ def run_cli(argv, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error"),
     )
     return proc
 
@@ -476,6 +476,14 @@ class TestCommands:
         assert proc.stderr.startswith("error: potential level delta[0] must be a finite number")
         assert len(proc.stderr.strip().splitlines()) == 1
         assert "cap =" not in proc.stderr
+
+    def test_int_beyond_the_doubles_delta_exit_1(self, tmp_path):
+        # json reads a 400-digit integer exactly; no double holds it
+        path = write_problem(tmp_path, dict(SMALL, delta=[10**400]))
+        proc = run_cli(["capacity", "--input", path])
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: potential level delta[0] must be a finite number")
+        assert len(proc.stderr.strip().splitlines()) == 1
 
     def test_kernel_too_large_exit_1(self, tmp_path):
         proc = run_cli(["preimage", "--input", write_problem(tmp_path, SMALL), "--n", "65536"])

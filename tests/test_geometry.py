@@ -174,17 +174,17 @@ class TestSlitSpec:
             sc.SlitSpec(1 + 0.1j, 1 + 0.1j)
 
     def test_rejects_non_finite_endpoints(self):
-        with pytest.raises(sc.GeometryError, match="endpoint a is not finite"):
+        with pytest.raises(sc.GeometryError, match="endpoint a must be finite"):
             sc.SlitSpec(complex(np.nan, 0.0), 1.0)
-        with pytest.raises(sc.GeometryError, match="endpoint b is not finite"):
+        with pytest.raises(sc.GeometryError, match="endpoint b must be finite"):
             sc.SlitSpec(0.0, complex(np.inf, 0.1))
-        with pytest.raises(sc.GeometryError, match="endpoint b is not finite"):
+        with pytest.raises(sc.GeometryError, match="endpoint b must be finite"):
             sc.SlitSpec(0.0, complex(0.0, np.nan))
 
     def test_rejects_bool_and_non_number_endpoints(self):
-        with pytest.raises(sc.GeometryError, match="endpoint a is not finite: True"):
+        with pytest.raises(sc.GeometryError, match="endpoint a must hold numbers, not bool"):
             sc.SlitSpec(True, 2)
-        with pytest.raises(sc.GeometryError, match="endpoint b is not finite: 1"):
+        with pytest.raises(sc.GeometryError, match="endpoint b must hold numbers, not <U1"):
             sc.SlitSpec(0.0, "1")
 
 
@@ -293,12 +293,12 @@ class TestEllipse:
             pytest.param({"r": 0.0}, "aspect ratio", id="0.5-0.0-aspect ratio"),
             pytest.param({"a": 0.0}, "major axis", id="0.0-0.2-major axis"),
             pytest.param({"a": -0.5}, "major axis", id="-0.5-0.2-major axis"),
-            pytest.param({"z": complex(np.nan, 0.1)}, "ellipse z is not finite", id="nan-z"),
-            pytest.param({"z": complex(0.1, np.inf)}, "ellipse z is not finite", id="inf-z"),
-            pytest.param({"a": np.nan}, "ellipse a is not finite", id="nan-a"),
-            pytest.param({"a": np.inf}, "ellipse a is not finite", id="inf-a"),
-            pytest.param({"theta": np.nan}, "ellipse theta is not finite", id="nan-theta"),
-            pytest.param({"theta": -np.inf}, "ellipse theta is not finite", id="inf-theta"),
+            pytest.param({"z": complex(np.nan, 0.1)}, "ellipse z must be finite", id="nan-z"),
+            pytest.param({"z": complex(0.1, np.inf)}, "ellipse z must be finite", id="inf-z"),
+            pytest.param({"a": np.nan}, "major axis a must be finite", id="nan-a"),
+            pytest.param({"a": np.inf}, "major axis a must be finite", id="inf-a"),
+            pytest.param({"theta": np.nan}, "ellipse theta must be a finite", id="nan-theta"),
+            pytest.param({"theta": -np.inf}, "ellipse theta must be a finite", id="inf-theta"),
         ],
     )
     def test_degenerate_ellipse_rejected(self, fields, message):
@@ -308,9 +308,9 @@ class TestEllipse:
     @pytest.mark.parametrize(
         "name, message",
         [
-            ("z", "ellipse z is not finite: True"),
-            ("a", "ellipse a is not finite: True"),
-            ("theta", "ellipse theta is not finite: True"),
+            ("z", "ellipse z must hold numbers, not bool"),
+            ("a", "major axis a must be finite and > 0, got True"),
+            ("theta", "ellipse theta must be a finite number, got True"),
             ("r", r"aspect ratio must be in \(0, 1\], got True"),
         ],
     )

@@ -159,3 +159,20 @@ def test_interval_named_in_message():
         as_real("delta", True)
     with pytest.raises(ValueError, match=r"^n must be a power of two >= 8, got 48$"):
         sc.IterationConfig(n=48)
+
+
+REAL_SITES = [site for site, (*_, good, _) in SETTINGS.items() if isinstance(good, np.floating)]
+
+
+@pytest.mark.parametrize("site", REAL_SITES)
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["big-int", "-big-int"])
+def test_int_beyond_the_doubles_names_its_field(ctx, site, value):
+    call, error, match, _, _ = SETTINGS[site]
+    with pytest.raises(error, match=match):
+        call(ctx, value)
+
+
+@pytest.mark.parametrize("delta", [5, 2.0, "12", [[1.0, 2.0]]], ids=["int", "float", "str", "2-D"])
+def test_delta_not_one_dimensional_names_delta(ctx, delta):
+    with pytest.raises(ValueError, match=r"^delta must be a sequence of potential levels"):
+        sc.CondenserSpec(ctx["two_slits"], delta)

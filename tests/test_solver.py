@@ -75,6 +75,15 @@ class TestSolveRho:
         with pytest.raises(ValueError):
             solve_bie(ks, np.full_like(t, np.nan))
 
+    def test_nan_kernel_entry_raises(self):
+        # a NaN residual is never above its target: it must still count as
+        # a miss, not come back as h = nan
+        bp, t = circle_bp(32)
+        ks = KernelSet(bp, np.array([np.pi / 2]))
+        ks.N[5, 7] = np.nan
+        with pytest.raises(ConvergenceError, match="residual nan"):
+            solve_bie(ks, np.cos(3 * t))
+
     def test_maxit_exhaustion_raises(self, monkeypatch):
         # on the circle alone GMRES finishes in two steps (I - N is identity
         # plus rank one), so use a two-component geometry with a tiny budget
