@@ -308,9 +308,20 @@ class TestEllipse:
     @pytest.mark.parametrize(
         "name, message",
         [
-            ("z", "ellipse z must hold numbers, not bool"),
-            ("a", "major axis a must be finite and > 0, got True"),
-            ("theta", "ellipse theta must be a finite number, got True"),
+            # the ids keep the names these cases have always run under
+            pytest.param(
+                "z", "ellipse z must hold numbers, not bool", id="z-ellipse z is not finite: True"
+            ),
+            pytest.param(
+                "a",
+                "major axis a must be finite and > 0, got True",
+                id="a-ellipse a is not finite: True",
+            ),
+            pytest.param(
+                "theta",
+                "ellipse theta must be a finite number, got True",
+                id="theta-ellipse theta is not finite: True",
+            ),
             ("r", r"aspect ratio must be in \(0, 1\], got True"),
         ],
     )
