@@ -13,7 +13,6 @@ K(r')/K(r) the Grotzsch ring modulus, with K computed by the AGM.
 """
 
 import inspect
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +25,7 @@ from .geometry import (
     as_int,
     as_points,
     as_real,
+    clearance_ratio,
     psi_inv,
     segment_distance,
     winding_number,
@@ -196,18 +196,16 @@ def capacity_study(samples):
 
 
 def _sweep(layout):
-    """A family swept over ``values``: the sample (p, *layout(p)) per value p."""
+    """A family swept over ``values``: the sample (p, layout(p)) per value p."""
     return lambda values: [
-        (p, *layout(as_real(f"study.values[{i}]", p))) for i, p in enumerate(values)
+        (p, layout(as_real(f"study.values[{i}]", p))) for i, p in enumerate(values)
     ]
 
 
 def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
     """``count`` layouts of m horizontal slits of length ell = 2/m, centers
     in [-4, 4] (and, when box_height > 0, imaginary parts in [-box_height,
-    box_height]); rejection sampling keeps pairwise slit distance >= 1e-3.
-    Each layout clamps r by two_vertical's rule, gap / (2 ell), over the
-    pairs of slits whose real ranges overlap."""
+    box_height]); rejection sampling keeps pairwise slit distance >= 1e-3."""
     m = as_int("study.m", m, 1)
     count = as_int("study.count", count, 0)
     box_height = as_real("study.box_height", box_height, 0.0)
@@ -226,40 +224,29 @@ def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
             a, b = complex(cx - 0.5 * ell, cy), complex(cx + 0.5 * ell, cy)
             if all(segment_distance(a, b, *slit) >= 1e-3 for slit in slits):
                 slits.append((a, b))
-        r_max = min(
-            [1.0] + [
-                segment_distance(*p, *q) / (2.0 * ell)
-                for p, q in itertools.combinations(slits, 2)
-                if abs(p[0].real - q[0].real) < ell
-            ]
-        )
-        layouts.append((trial, slits, r_max))
+        layouts.append((trial, slits))
     return layouts
 
 
-# name -> builder of (param, slit endpoint pairs, largest ellipse ratio r)
-# samples; its parameters are the keys of a study section.  Close slits
-# clamp r to gap / (2 ell), ell the slit length, so that the holes stay
-# apart: two_vertical to x/2, random_horizontal over the pairs whose real
-# ranges overlap.
+# name -> builder of (param, slit endpoint pairs); a study section's keys are its parameters
 STUDY_FAMILIES = {
     # E = (-x + [-i, i]) u (x + [-i, i])
-    "two_vertical": _sweep(lambda x: ([(-x - 1j, -x + 1j), (x - 1j, x + 1j)], 0.5 * x)),
+    "two_vertical": _sweep(lambda x: [(-x - 1j, -x + 1j), (x - 1j, x + 1j)]),
     # E = (-x + [-1, 1]) u (x + [-1, 1]), x > 1
-    "two_horizontal": _sweep(lambda x: ([(-x - 1, -x + 1), (x - 1, x + 1)], 1.0)),
+    "two_horizontal": _sweep(lambda x: [(-x - 1, -x + 1), (x - 1, x + 1)]),
     # E = i*s + [-i, i]
-    "vertical_shift": _sweep(lambda s: ([(1j * s - 1j, 1j * s + 1j)], 1.0)),
+    "vertical_shift": _sweep(lambda s: [(1j * s - 1j, 1j * s + 1j)]),
     # E = i*s + [-1, 1]
-    "horizontal_shift": _sweep(lambda s: ([(1j * s - 1.0, 1j * s + 1.0)], 1.0)),
+    "horizontal_shift": _sweep(lambda s: [(1j * s - 1.0, 1j * s + 1.0)]),
     "random_horizontal": _random_horizontal,
 }
 
 
 def study_samples(study, cfg):
-    """Every (param, CondenserSpec, IterationConfig) sample of a problem
-    file's ``study`` section, built before any solve.  Its ``family`` names a
-    ``STUDY_FAMILIES`` builder and its other keys are that builder's
-    parameters.  An unknown family, a missing, stray or bad parameter, or an
+    """Every (param, CondenserSpec, IterationConfig) sample of a ``study``
+    section, built before any solve, its r capped by ``clearance_ratio``.
+    ``family`` names a ``STUDY_FAMILIES`` builder, the other keys are its
+    parameters; an unknown family, a missing, stray or bad parameter or an
     invalid geometry raises here, so a sweep never stops midway."""
     keys = dict(study)
     family = keys.pop("family", None)
@@ -273,11 +260,8 @@ def study_samples(study, cfg):
         signature.bind(**keys)
     except TypeError as exc:
         raise ValueError(f"study family {family}{signature}: {exc}") from None
-    return [
-        (
-            p,
-            CondenserSpec(StripSlitDomain([SlitSpec(a, b) for a, b in slits])),
-            replace(cfg, r=min(cfg.r, r_max)),
-        )
-        for p, slits, r_max in builder(**keys)
+    specs = [
+        (p, CondenserSpec(StripSlitDomain([SlitSpec(a, b) for a, b in slits])))
+        for p, slits in builder(**keys)
     ]
+    return [(p, s, replace(cfg, r=min(cfg.r, clearance_ratio(s.domain)))) for p, s in specs]

@@ -2,7 +2,7 @@
 
 Subcommands: ``preimage``, ``capacity``, ``flow``, ``exact``, ``study``.
 Problem files are JSON; see README for the schema.  Exit codes: 0 success,
-1 input/geometry error, 2 numerical non-convergence.
+1 input/geometry or usage error, 2 numerical non-convergence.
 """
 
 import argparse
@@ -69,9 +69,17 @@ class ProblemFile:
             if key in where and not valid(where[key]):
                 raise ValueError(f"{path} must be {shape}, got {where[key]!r}")
         numerics = dict(data.get("numerics", {}))
-        unknown = set(numerics) - {f.name for f in fields(IterationConfig)}
-        if unknown:
-            raise ValueError(f"unknown numerics keys: {sorted(unknown)}")
+        # the known top-level and flow keys are those of SHAPES; study's keys
+        # are checked against its family builder's signature
+        flow_keys = {path.removeprefix("flow.") for path in SHAPES if path.startswith("flow.")}
+        for section, entries, known in (
+            ("top-level", data, {"slits", *(path for path in SHAPES if "." not in path)}),
+            ("flow", data.get("flow", {}), flow_keys),
+            ("numerics", numerics, {f.name for f in fields(IterationConfig)}),
+        ):
+            unknown = set(entries) - known
+            if unknown:
+                raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
         return cls(
             domain=domain,
             delta=data.get("delta"),
@@ -247,8 +255,16 @@ def cmd_study(args, problem, cfg):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, so they exit 1 through ``main``'s
+    error path; argparse's own exit status 2 means non-convergence here."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stripcap",
         description="Conformal maps of slit strips, condenser capacities, potential flow",
     )
@@ -308,10 +324,8 @@ def run(args):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return run(args)
+        return run(build_parser().parse_args(argv))
     except ConvergenceError as exc:
         _note(f"error: {exc}")
         return 2

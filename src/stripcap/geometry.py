@@ -30,13 +30,26 @@ def as_array(name, values, dtype):
     for arrays of numbers: a bool, string or object array, a complex array
     where ``dtype`` is float and a non-finite entry each raise ValueError
     naming ``name``.  An array that already has ``dtype`` comes back itself."""
-    arr = np.asarray(values)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # numpy's message for a ragged sequence names no array
+        raise ValueError(f"{name} must be a rectangular array of numbers") from None
     if arr.dtype.kind not in ("iuf" if dtype is float else "iufc"):
         raise ValueError(f"{name} must hold {'real ' * (dtype is float)}numbers, not {arr.dtype}")
     arr = arr.astype(dtype, copy=False)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr[~np.isfinite(arr)][:3]}")
     return arr
+
+
+def as_complex(name, value):
+    """``value`` as a Python complex, the gate for the complex fields of the
+    geometry records: ``as_array``'s checks, and an array that is not a
+    single number raises ValueError naming ``name``."""
+    z = as_array(name, value, complex)
+    if z.ndim:
+        raise ValueError(f"{name} must be a number, not an array of shape {z.shape}")
+    return complex(z)
 
 
 def as_points(points):
@@ -204,11 +217,11 @@ class SlitSpec:
     b: complex
 
     def __post_init__(self):
-        try:  # complex() raises TypeError for an array
+        try:
             for name in ("a", "b"):
-                z = as_array(f"slit endpoint {name}", getattr(self, name), complex)
-                object.__setattr__(self, name, complex(z))
-        except (TypeError, ValueError) as exc:
+                z = as_complex(f"slit endpoint {name}", getattr(self, name))
+                object.__setattr__(self, name, z)
+        except ValueError as exc:
             raise GeometryError(str(exc)) from None
         if abs(self.a.imag) >= HALF_PI or abs(self.b.imag) >= HALF_PI:
             raise GeometryError(
@@ -313,6 +326,21 @@ class StripSlitDomain:
         return cls(slits)
 
 
+def clearance_ratio(domain):
+    """The largest ellipse ratio r that facing parallel slits allow, the one
+    clearance rule: r <= gap / (ell_i + ell_j) over slits of equal ``theta``
+    whose projections onto that direction overlap by a positive length, so
+    that their holes stay apart; 1.0 when no pair faces another."""
+    bound, slits = 1.0, domain.slits
+    for i, p in enumerate(slits):
+        for q in slits[i + 1 :]:
+            # p's far end, then q's ends, along p: p spans [0, t[0]]
+            t = ((np.array([p.b, q.a, q.b]) - p.a) * np.conj(p.b - p.a)).real
+            if q.theta == p.theta and max(t[1:]) > 0.0 and min(t[1:]) < t[0]:
+                bound = min(bound, segment_distance(p.a, p.b, q.a, q.b) / (p.ell + q.ell))
+    return bound
+
+
 @dataclass(frozen=True)
 class EllipseParams:
     """Intermediate-domain ellipse: center z, major axis a, tilt theta, ratio r."""
@@ -323,12 +351,12 @@ class EllipseParams:
     r: float
 
     def __post_init__(self):
-        try:  # complex() raises TypeError for an array
-            object.__setattr__(self, "z", complex(as_array("ellipse z", self.z, complex)))
+        try:
+            object.__setattr__(self, "z", as_complex("ellipse z", self.z))
             object.__setattr__(self, "a", as_real("major axis a", self.a, 0.0, lo_open=True))
             object.__setattr__(self, "theta", as_real("ellipse theta", self.theta))
             object.__setattr__(self, "r", as_real("aspect ratio", self.r, 0.0, 1.0, lo_open=True))
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise GeometryError(str(exc)) from None
 
 

@@ -13,8 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, GeometryError, MemoryLimitError
-from .geometry import EllipseParams, _check_pow2, as_int, as_real, build_preimage_boundary
+from .errors import ConvergenceError, GeometryError, MemoryLimitError, OverlapError
+from .geometry import (
+    EllipseParams,
+    _check_pow2,
+    as_int,
+    as_real,
+    build_preimage_boundary,
+    clearance_ratio,
+)
 from .kernels import KernelSet, dense_bytes
 from .stripmap import build_map, extract_slit_images
 
@@ -80,8 +87,7 @@ class PreimageResult:
     def take_kernel(self):
         """The kernel of ``map``, which the caller now owns and may
         ``reangle``; the result lets go of it.  When it holds none (taken
-        before, or the last step failed before its map), one is assembled
-        on ``map.bp``."""
+        before), one is assembled on ``map.bp``."""
         ks, self._kernel = self._kernel, None
         return ks if ks is not None else KernelSet(self.map.bp, self.map.theta)
 
@@ -109,13 +115,21 @@ def _check_memory(m, n):
 
 
 def initialize(omega, cfg):
-    """Thin ellipses on the slits: center c_j, major axis (1 - r/2) ell_j."""
+    """Thin ellipses on the slits: center c_j, major axis (1 - r/2) ell_j.
+    An r too large for the slits raises OverlapError, which names
+    ``clearance_ratio``'s bound when r exceeds it."""
     shrink = 1.0 - 0.5 * cfg.r
     params = [
         EllipseParams(z=s.c, a=shrink * s.ell, theta=s.theta, r=cfg.r)
         for s in omega.slits
     ]
-    build_preimage_boundary(params, cfg.n)  # raises OverlapError if r is too large
+    try:
+        build_preimage_boundary(params, cfg.n)
+    except OverlapError as exc:
+        bound = clearance_ratio(omega)
+        if bound < cfg.r:
+            raise OverlapError(f"{exc}; facing parallel slits allow r <= {bound:.6g}") from None
+        raise
     return params
 
 

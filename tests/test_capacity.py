@@ -204,8 +204,8 @@ class TestStudies:
         assert layouts(again) == layouts(samples)
 
     def test_random_horizontal_clamps_r_for_close_pairs(self):
-        # r <= gap / (2 ell), ell = 2/m, over the pairs whose real ranges
-        # overlap; on the real axis (box_height 0) no ranges overlap
+        # r <= gap / (ell_i + ell_j) over the pairs whose real ranges overlap
+        # (clearance_ratio); on the real axis (box_height 0) none overlap
         cfg = IterationConfig(n=64)
         study = {"family": "random_horizontal", "m": 3, "count": 3, "seed": 4}
         flat = study_samples(dict(study, box_height=0.0), cfg)
@@ -213,7 +213,7 @@ class TestStudies:
         boxed = study_samples(dict(study, box_height=0.5), cfg)
         _, spec, close = boxed[1]
         s = spec.domain.slits
-        assert close == replace(cfg, r=(s[1].c.imag - s[2].c.imag) / (2 * 2 / 3))
+        assert close == replace(cfg, r=(s[1].c.imag - s[2].c.imag) / (s[1].ell + s[2].ell))
         assert [c for _, _, c in boxed[::2]] == [cfg] * 2
         # at the run's r=0.2 the preimage curves of slits 2 and 3 intersect
         point = capacity_study([boxed[1]])[0]

@@ -432,6 +432,14 @@ class TestCommands:
                 {"numerics": {"solver_tol": 1e-12}},
                 id="solver_tol-removed",
             ),
+            pytest.param(
+                "unknown top-level keys: ['delat']", {"delat": [2.0]}, id="delta-misspelt"
+            ),
+            pytest.param(
+                "unknown flow keys: ['exlusion']",
+                {"flow": {"exlusion": 0.3}},
+                id="flow-exclusion-misspelt",
+            ),
         ],
     )
     def test_bad_numerics_exit_1(self, tmp_path, message, section):
@@ -450,6 +458,21 @@ class TestCommands:
         proc = run_cli(["flow", "--input", path, "--out", str(tmp_path / "f.csv")])
         assert proc.returncode == 1
         assert "grid bound x_min must be a finite number" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["--n", "abc"], "argument --n: invalid int value: 'abc'", id="n-abc"),
+            pytest.param([], "the following arguments are required: --input", id="no-input"),
+        ],
+    )
+    def test_usage_error_exit_1(self, tmp_path, argv, message):
+        # argparse's own exit status 2 would read as non-convergence
+        if argv:
+            argv = ["--input", write_problem(tmp_path, SMALL), *argv]
+        proc = run_cli(["capacity", *argv])
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: stripcap capacity: {message}\n"
 
     def test_seed_only_on_study(self):
         for command in ("preimage", "capacity", "flow"):

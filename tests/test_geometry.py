@@ -14,6 +14,7 @@ from stripcap import geometry
 from stripcap.geometry import (
     HALF_PI,
     _spectrum,
+    clearance_ratio,
     pairwise_chunks,
     point_segment_distance,
     segment_distance,
@@ -33,7 +34,7 @@ def run_child(code, timeout=60):
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=dict(os.environ, PYTHONPATH=path, PYTHONWARNINGS="error"),
         timeout=timeout,
     )
 
@@ -267,6 +268,35 @@ class TestDomain:
         good = {"a": [-1, 0.5], "b": [1, 0.5]}
         with pytest.raises(sc.GeometryError, match=r"^slits\[1\] must be \{'a': \[x, y\]"):
             sc.StripSlitDomain.from_dict({"slits": [good, entry]})
+
+
+class TestClearanceRatio:
+    @pytest.mark.parametrize("x", [0.01, 0.1, 0.3, 1.5])
+    def test_side_by_side_pair(self, x):
+        # gap 2x over the lengths 2 + 2: the old two_vertical rule x/2, bit for bit
+        dom = sc.StripSlitDomain([sc.SlitSpec(s - 1j, s + 1j) for s in (-x, x)])
+        assert clearance_ratio(dom) == min(1.0, 0.5 * x)
+
+    @pytest.mark.parametrize(
+        "slits, bound",
+        [
+            # the vertical slit is 0.1 from the first, but not parallel to it
+            pytest.param(
+                [(-1, 0.5), (-0.5 + 0.3j, 1.5 + 0.3j), (0.1j, 0.2j)], 0.3 / 3.5, id="closest-pair"
+            ),
+            # both along 1 + i, the second shifted by 0.125 (i - 1)
+            pytest.param(
+                [(-0.5 - 0.5j, 0.5 + 0.5j), (-0.625 - 0.375j, 0.375 + 0.625j)], 0.0625, id="tilted"
+            ),
+            pytest.param([(-1, 1)], 1.0, id="one-slit"),
+            pytest.param([(-2, -1), (1, 2)], 1.0, id="collinear"),
+            pytest.param([(-2 + 0.1j, -1 + 0.1j), (-1, 0)], 1.0, id="projections-touch"),
+            pytest.param([(-1, 1), (-0.5 + 1j, 0.5 + 1.2j)], 1.0, id="not-parallel"),
+        ],
+    )
+    def test_facing_pairs(self, slits, bound):
+        dom = sc.StripSlitDomain([sc.SlitSpec(a, b) for a, b in slits])
+        assert clearance_ratio(dom) == pytest.approx(bound, rel=1e-15)
 
 
 class TestEllipse:

@@ -19,6 +19,7 @@ from stripcap.capacity import charges_from_boundary
 from stripcap.flow import complex_potential, horizontal_slit_map
 from stripcap.geometry import BoundaryParametrization, as_array, winding_number
 from stripcap.kernels import KernelSet
+from stripcap.preimage import initialize
 from stripcap.solver import cauchy_eval, solve_bie
 from stripcap.stripmap import inverse_map, strip_gamma
 
@@ -97,6 +98,37 @@ BAD_INPUT = {
     ),
     "charges_from_boundary-two-points": (
         lambda ctx: _charges(ctx, [0.0, 0.0]), ValueError, "one point per hole, 1, got 2"
+    ),
+    **{
+        f"SlitSpec-a-{kind}": (
+            lambda ctx, v=v: sc.SlitSpec(v, 2.0),
+            sc.GeometryError,
+            rf"^slit endpoint a must be a number, not an array of shape {shape}",
+        )
+        for kind, v, shape in (
+            ("pair", np.array([1.0, 2.0]), r"\(2,\)"),
+            ("list", [1.0], r"\(1,\)"),
+            ("2d", np.array([[1.0]]), r"\(1, 1\)"),
+        )
+    },
+    "EllipseParams-z-array": (
+        lambda ctx: _ellipse(z=np.array([0.1])),
+        sc.GeometryError,
+        r"^ellipse z must be a number, not an array of shape \(1,\)",
+    ),
+    "as_array-ragged": (
+        lambda ctx: as_array("eta", [[1, 2], [3]], complex),
+        ValueError,
+        "^eta must be a rectangular array of numbers",
+    ),
+    # two vertical slits 0.3 apart: the clearance rule allows r <= 0.3 / 4
+    "initialize-facing-slits": (
+        lambda ctx: initialize(
+            sc.StripSlitDomain([sc.SlitSpec(x - 1j, x + 1j) for x in (-0.15, 0.15)]),
+            sc.IterationConfig(n=64, r=0.2),
+        ),
+        sc.OverlapError,
+        "choose a smaller aspect ratio r; facing parallel slits allow r <= 0.075$",
     ),
 }
 
