@@ -158,10 +158,14 @@ def capacity(spec, cfg=IterationConfig()):
 
 @dataclass
 class StudyPoint:
+    """One study sample; ``charge_h_dev`` is the largest entry of its
+    ``CapacityResult.charge_h_dev``, NaN for a failed sample."""
+
     param: float
     cap: float
     converged: bool
     iters: int
+    charge_h_dev: float = float("nan")
     error: str = ""
 
 
@@ -183,6 +187,7 @@ def capacity_study(samples):
                     cap=res.cap,
                     converged=True,
                     iters=res.preimage.iterations,
+                    charge_h_dev=float(res.charge_h_dev.max()),
                 )
             )
         except (StripcapError, ValueError) as exc:  # a failed sample, not a bug

@@ -250,8 +250,11 @@ def cmd_study(args, problem, cfg):
     for p in table:
         if not p.converged:
             _note(f"warning: param {p.param!r}: {p.error}")
-    rows = [f"{p.param!r},{p.cap!r},{int(p.converged)},{p.iters}\n" for p in table]
-    _write(args.out, "".join(["param,cap,converged,iters\n", *rows]))
+    rows = [
+        f"{p.param!r},{p.cap!r},{int(p.converged)},{p.iters},{p.charge_h_dev!r}\n"
+        for p in table
+    ]
+    _write(args.out, "".join(["param,cap,converged,iters,charge_h_dev\n", *rows]))
     return 0
 
 

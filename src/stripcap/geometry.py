@@ -153,6 +153,38 @@ def _spectrum(samples):
     return np.append(c, c[n // 2]), np.append(k, n // 2)
 
 
+def resample(samples, n):
+    """Samples of the trigonometric interpolant of ``samples`` (along the
+    last axis) at n equidistant nodes, n a power of two: spectral
+    truncation when n is below the samples' count, zero-padding of the
+    spectrum when above, and a copy when equal.
+
+    Both directions keep ``_spectrum``'s Nyquist convention: padding splits
+    the coarse Nyquist cosine into halves at -n0/2 and +n0/2, and
+    truncation folds the fine modes at -n/2 and +n/2 onto the coarse
+    Nyquist mode, so restricting after prolonging is the identity and
+    prolongation agrees with ``trig_interp`` at the fine nodes.  Exact on
+    trigonometric polynomials of degree below the smaller count's half;
+    real samples give real ones.
+    """
+    samples = np.asarray(samples)
+    n0 = _check_pow2(samples.shape[-1])
+    n = _check_pow2(n)
+    if n == n0:
+        return samples.copy()
+    c = np.fft.fft(samples, axis=-1)
+    h = min(n, n0) // 2
+    out = np.zeros(samples.shape[:-1] + (n,), dtype=complex)
+    out[..., :h] = c[..., :h]
+    out[..., 1 - h :] = c[..., 1 - h :]
+    if n > n0:
+        out[..., h] = out[..., -h] = 0.5 * c[..., h]
+    else:
+        out[..., h] = c[..., h] + c[..., -h]
+    out = np.fft.ifft(out, axis=-1) * (n / n0)
+    return out if np.iscomplexobj(samples) else out.real
+
+
 def trig_interp(samples, tq):
     """Evaluate the trigonometric interpolant of ``samples`` at points ``tq``.
 
@@ -328,15 +360,19 @@ class StripSlitDomain:
 
 def clearance_ratio(domain):
     """The largest ellipse ratio r that facing parallel slits allow, the one
-    clearance rule: r <= gap / (ell_i + ell_j) over slits of equal ``theta``
+    clearance rule: r <= gap / (ell_i + ell_j) over parallel slits (their
+    directions' cross product within 1e-12 of the product of their lengths,
+    so that rounding in a tilted slit's endpoints does not hide a pair)
     whose projections onto that direction overlap by a positive length, so
     that their holes stay apart; 1.0 when no pair faces another."""
     bound, slits = 1.0, domain.slits
     for i, p in enumerate(slits):
         for q in slits[i + 1 :]:
+            dp, dq = p.b - p.a, q.b - q.a
+            parallel = abs((dq * np.conj(dp)).imag) <= 1e-12 * p.ell * q.ell
             # p's far end, then q's ends, along p: p spans [0, t[0]]
-            t = ((np.array([p.b, q.a, q.b]) - p.a) * np.conj(p.b - p.a)).real
-            if q.theta == p.theta and max(t[1:]) > 0.0 and min(t[1:]) < t[0]:
+            t = ((np.array([p.b, q.a, q.b]) - p.a) * np.conj(dp)).real
+            if parallel and max(t[1:]) > 0.0 and min(t[1:]) < t[0]:
                 bound = min(bound, segment_distance(p.a, p.b, q.a, q.b) / (p.ell + q.ell))
     return bound
 

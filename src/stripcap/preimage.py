@@ -23,14 +23,12 @@ from .geometry import (
     clearance_ratio,
 )
 from .kernels import KernelSet, dense_bytes
+from .solver import RESOLVED_H_DEV
 from .stripmap import build_map, extract_slit_images
 
 # n=128 resolves the four-slit and channel geometries (first-solve h_dev
 # 3.4e-15 and 2.4e-11); each coarse level that does not costs one first solve
 LADDER_START = 128
-# the geometric middle of criterion 3's first-solve h_dev at n=128 (7.1e-5)
-# and the crowded pair's at every n <= 512 (1.5e-3 and above)
-RESOLVED_H_DEV = 3e-4
 
 
 @dataclass(frozen=True)

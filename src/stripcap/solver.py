@@ -5,22 +5,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GeometryError
-from .geometry import as_array, as_points, pairwise_chunks
-from .kernels import _mapped
+from .geometry import as_array, as_points, pairwise_chunks, resample
+from .kernels import _mapped, coarse_operators
 
 TOL = 1e-14
 # the crowded pair x=+-0.01, r=0.005, n=256 needs up to 284 Krylov iterations
 KRYLOV_BUDGET = 400
+# the geometric middle of criterion 3's first-solve h_dev at n=128 (7.1e-5)
+# and the crowded pair's at every n <= 512 (1.5e-3 and above); a level
+# whose largest h_dev is below it resolves the geometry
+RESOLVED_H_DEV = 3e-4
+# the coarsest level of the two-grid preconditioner; levels double up to n/8
+COARSE_START = 64
 
 
 @dataclass
 class SolverStats:
     """Krylov iterations and their relative residual norms, shared by every
     right-hand side of a solve; ``residual`` is an array of k, one
-    max|rhs - (I-N) rho| per right-hand side (k = 1 for a single one)."""
+    max|rhs - (I-N) rho| per right-hand side (k = 1 for a single one).
+    ``coarse_n`` is the preconditioner's level (None when none resolved)
+    and ``coarse_h_dev`` the largest ``h_dev`` of the last coarse solve
+    tried (None when no level was tried)."""
 
     residual: np.ndarray
     history: list
+    coarse_n: int | None = None
+    coarse_h_dev: float | None = None
 
     @property
     def iterations(self):
@@ -99,6 +110,53 @@ def _gmres_pass(matvec, b, x, r, atol, history):
     return x, b - matvec(x)
 
 
+def _preconditioner(ks, gamma):
+    """``(apply, nc, h_dev)``: the two-grid right preconditioner
+    M^-1 = I + P[(I - N_c)^-1 - I]R for ``solve_bie`` on flat Krylov
+    vectors of ``gamma``'s shape, its level and the last coarse ``h_dev``.
+
+    Levels nc = COARSE_START, 2 COARSE_START, ... up to n/8 are tried in
+    turn.  At each, ``coarse_operators`` gives I - N_c and M_c, the coarse
+    problem for ``gamma`` sampled at the coarse nodes is solved directly,
+    and the level resolves the geometry when that solve's largest
+    ``h_dev`` is below RESOLVED_H_DEV (a NaN does not).  The first level
+    that resolves is taken: M_c goes, and I - N_c is the one (m+1)
+    nc-square matrix kept.  R restricts by spectral truncation and P
+    prolongs by zero-padded FFT (``resample``).  With no level, or none
+    resolved, ``apply`` returns its argument itself and nc is None.
+
+    Each application solves with I - N_c rather than multiplying by an
+    inverse: a solve takes a third of an inverse's time, so up to three
+    applications cost what the inverse does, and LAPACK's inverse first
+    touches about 1.5 MB more of OpenBLAS's buffers, which stay resident
+    (flow's peak RSS at n=512 rose 1.3 to 2.0 MB with it, 0.3 to 0.8 MB
+    without).
+    """
+    n, h_dev = ks.bp.n, None
+    shape = gamma.shape
+    nc = COARSE_START
+    while nc <= n // 8:
+        A, M = coarse_operators(ks, nc)
+        g = gamma[..., :: n // nc].reshape(-1, A.shape[0])
+        rho = np.linalg.solve(A, -(g @ M.T).T).T
+        field = 0.5 * (rho @ M.T - g @ A.T)
+        del M
+        h_dev = float(field.reshape(-1, ks.bp.m + 1, nc).std(axis=-1).max())
+        if h_dev < RESOLVED_H_DEV:
+            break
+        nc *= 2
+    else:
+        return (lambda z: z), None, h_dev
+    coarse = shape[:-1] + (nc,)
+
+    def apply(z):
+        c = resample(z.reshape(shape), nc).reshape(-1, A.shape[0])
+        c = np.linalg.solve(A, c.T).T - c
+        return z + resample(c.reshape(coarse), n).reshape(-1)
+
+    return apply, nc, h_dev
+
+
 def solve_bie(ks, gamma):
     """Solve (I - N) rho = -M gamma by restart-free GMRES, matrix-free, and
     read off the piecewise constants h of the field [M rho - (I-N) gamma]/2.
@@ -111,13 +169,22 @@ def solve_bie(ks, gamma):
     exact, so the joint tolerance holds every one alike; a single right-hand
     side runs as a block of one.
 
+    GMRES is right-preconditioned from the coarsest level that resolves the
+    geometry (``_preconditioner``): it solves (I - N) M^-1 y = rhs and
+    rho = M^-1 y, so its residuals are those of rho.  For n < 8
+    COARSE_START = 512 no level exists, and where none resolves M^-1 is the
+    identity: the solve is plain GMRES, bit for bit.  ``stats.coarse_n``
+    and ``stats.coarse_h_dev`` tell which case ran.
+
     GMRES runs to the relative residual ``TOL`` within ``KRYLOV_BUDGET``
     iterations.  A second pass starts from the first pass's iterate and runs
     only when that iterate's true residual misses ``TOL``, restoring the
     digit a Krylov basis can lose to rounding.  ``stats.iterations`` and
-    ``stats.history`` count the Krylov iterations of both passes, and
-    ``stats.residual`` holds the k true residuals; a solve costs those
-    iterations plus two ``I-N`` products (the true residual and the field).
+    ``stats.history`` count the (preconditioned) Krylov iterations of both
+    passes, and ``stats.residual`` holds the k true residuals; a solve costs
+    those iterations plus two ``I-N`` products (the true residual and the
+    field), and a preconditioned one a coarse solve per iteration and
+    one for rho.
     The solve fails, with ConvergenceError naming the right-hand side and
     carrying the residual history, when one's true residual misses
     ``10 * TOL * max|rhs|`` of its own.  The theory makes the field exactly
@@ -138,17 +205,20 @@ def solve_bie(ks, gamma):
     exps[norms > 0, 0] = np.rint(np.log2(norms[norms > 0]))
     b = np.ldexp(rhs, -exps).reshape(-1)
 
+    precondition, coarse_n, coarse_h_dev = _preconditioner(ks, gamma)
+
     def matvec(z):
-        return ks.apply_I_minus_N(z.reshape(gamma.shape)).reshape(-1)
+        return ks.apply_I_minus_N(precondition(z).reshape(gamma.shape)).reshape(-1)
 
     history = []
-    x = np.zeros_like(b)
+    y = np.zeros_like(b)
     r = b.copy()
     atol = TOL * np.linalg.norm(b)
     for _ in range(2):
         if np.linalg.norm(r) <= atol:
             break
-        x, r = _gmres_pass(matvec, b, x, r, atol, history)
+        y, r = _gmres_pass(matvec, b, y, r, atol, history)
+    x = precondition(y)
     rho = np.ldexp(x.reshape(rhs.shape), exps).reshape(gamma.shape)
     residual = np.abs(np.ldexp(r.reshape(rhs.shape), exps)).max(axis=1)
     target = 10.0 * TOL * np.abs(rhs).max(axis=1)
@@ -162,7 +232,9 @@ def solve_bie(ks, gamma):
             history=history,
         )
     field = 0.5 * (ks.apply_M(rho) - ks.apply_I_minus_N(gamma))
-    stats = SolverStats(residual=residual, history=history)
+    stats = SolverStats(
+        residual=residual, history=history, coarse_n=coarse_n, coarse_h_dev=coarse_h_dev
+    )
     return BieSolution(
         rho=rho, h=field.mean(axis=-1), h_dev=field.std(axis=-1), stats=stats
     )

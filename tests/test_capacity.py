@@ -239,6 +239,16 @@ class TestStudies:
         assert not table[1].converged and np.isnan(table[1].cap)
         assert table[1].error
 
+    def test_study_reports_charge_h_dev(self):
+        # a row carries its capacity's largest charge h_dev, a failed row NaN
+        dom = StripSlitDomain([SlitSpec(-0.5, 0.5), SlitSpec(1.0 - 0.3j, 1.0 + 0.3j)])
+        spec = CondenserSpec(dom)
+        failing = IterationConfig(n=64, eps=1e-30, max_iter=1)
+        good, bad = capacity_study([(1.0, spec, FAST), (2.0, spec, failing)])
+        assert good.charge_h_dev == capacity(spec, FAST).charge_h_dev.max()
+        assert type(good.charge_h_dev) is float
+        assert np.isnan(bad.charge_h_dev)
+
     def test_study_propagates_bugs(self, monkeypatch):
         # only typed library errors and ValueError count as failed samples;
         # the package re-exports the function under the module's name

@@ -285,7 +285,7 @@ class TestCommands:
         )
         assert proc.returncode == 0
         rows = [row.split(",") for row in proc.stdout.splitlines()[1:]]
-        failed = [param for param, _, converged, _ in rows if converged == "0"]
+        failed = [param for param, _, converged, *_ in rows if converged == "0"]
         warnings = proc.stderr.strip().splitlines()
         assert [w.split(": ")[:2] for w in warnings] == [
             ["warning", f"param {p}"] for p in failed
@@ -312,7 +312,7 @@ class TestCommands:
         proc = run_cli(["study", "--input", path, "--n", "32"])
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
-        assert lines[0] == "param,cap,converged,iters"
+        assert lines[0] == "param,cap,converged,iters,charge_h_dev"
         assert len(lines) == 3
 
     @pytest.mark.parametrize(

@@ -17,12 +17,16 @@ from stripcap.geometry import (
     clearance_ratio,
     pairwise_chunks,
     point_segment_distance,
+    resample,
     segment_distance,
     segments_cross,
     trig_extrema,
     trig_interp,
     winding_number,
 )
+
+# a direction whose slits' thetas round apart
+T04 = np.exp(0.4j)
 
 # absolute, so that a child process imports this package
 SRC = str(Path(sc.__file__).resolve().parents[1])
@@ -149,6 +153,58 @@ class TestTrigTools:
         dense = np.linspace(0, 2 * np.pi, 2_000_001)
         ref = (np.cos(dense) + 0.3 * np.cos(2 * dense - 0.7)).max()
         assert u_hi == pytest.approx(ref, abs=1e-10)
+
+
+class TestResample:
+    """``resample`` restricts by spectral truncation and prolongs by
+    zero-padding, with ``_spectrum``'s Nyquist convention both ways."""
+
+    @staticmethod
+    def trig_poly(n, degree, seed=0):
+        # a complex trigonometric polynomial of the given degree at n nodes
+        rng = np.random.default_rng(seed)
+        k = np.arange(-degree, degree + 1)
+        c = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+        return np.exp(1j * np.outer(2 * np.pi * np.arange(n) / n, k)) @ c
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_exact_below_half_the_coarse_count(self, dtype):
+        # degree 7 < 16/2: both directions give the polynomial's own samples
+        fine = self.trig_poly(64, 7)
+        coarse = fine[::4]
+        if dtype is float:
+            fine, coarse = fine.real, coarse.real
+        down, up = resample(fine, 16), resample(coarse, 64)
+        assert down.dtype == up.dtype == np.dtype(dtype)
+        assert np.abs(down - coarse).max() < 1e-13
+        assert np.abs(up - fine).max() < 1e-13
+
+    def test_restrict_after_prolong_is_identity(self):
+        # random coarse data carry a Nyquist mode, which the round trip keeps
+        x = np.random.default_rng(1).standard_normal((3, 16))
+        assert np.abs(resample(resample(x, 128), 16) - x).max() < 1e-15
+        assert np.array_equal(resample(x, 16), x)
+
+    def test_prolongation_is_the_trig_interpolant(self):
+        n = 16
+        t = 2 * np.pi * np.arange(64) / 64
+        nyquist = np.cos(8 * 2 * np.pi * np.arange(n) / n)
+        for x in (nyquist, np.random.default_rng(2).standard_normal(n)):
+            assert np.abs(resample(x, 64) - trig_interp(x, t).real).max() < 1e-14
+
+    def test_truncation_folds_the_coarse_nyquist_modes(self):
+        # e^{8it} and e^{-8it} both read (-1)^j on 16 nodes: truncation keeps
+        # their sum there, and drops e^{9it}
+        t = 2 * np.pi * np.arange(64) / 64
+        fine = np.exp(8j * t) + 2 * np.exp(-8j * t) + np.exp(9j * t)
+        expect = 3.0 * (-1.0) ** np.arange(16)
+        assert np.abs(resample(fine, 16) - expect).max() < 1e-14
+
+    @pytest.mark.parametrize("size, n", [(12, 8), (16, 24), (16, 4)])
+    def test_power_of_two_sizes_only(self, size, n):
+        # as _check_pow2 rejects them: not a power of two, or below 8
+        with pytest.raises(ValueError, match="node count must be"):
+            resample(np.ones(size), n)
 
 
 class TestSlitSpec:
@@ -292,6 +348,12 @@ class TestClearanceRatio:
             pytest.param([(-2, -1), (1, 2)], 1.0, id="collinear"),
             pytest.param([(-2 + 0.1j, -1 + 0.1j), (-1, 0)], 1.0, id="projections-touch"),
             pytest.param([(-1, 1), (-0.5 + 1j, 0.5 + 1.2j)], 1.0, id="not-parallel"),
+            # both along e^{0.4i}, 0.2 apart: their thetas differ in the last
+            # bits (0.3999999999999999 and 0.40000000000000013)
+            pytest.param(
+                [(-0.5 * T04, 0.5 * T04), ((-0.5 + 0.2j) * T04, (0.5 + 0.2j) * T04)], 0.1,
+                id="tilted-rounded",
+            ),
         ],
     )
     def test_facing_pairs(self, slits, bound):

@@ -16,8 +16,8 @@ from stripcap.geometry import (
     parametrize_ellipse,
 )
 from stripcap.kernels import KernelSet
-from stripcap.preimage import IterationConfig, initialize
-from stripcap.solver import cauchy_eval, cauchy_sums, solve_bie
+from stripcap.preimage import IterationConfig, initialize, iterate
+from stripcap.solver import RESOLVED_H_DEV, cauchy_eval, cauchy_sums, solve_bie
 from stripcap.stripmap import strip_gamma
 
 from conftest import FOUR_SLITS
@@ -259,6 +259,82 @@ class TestBlockSolve:
                     gamma.reshape(1, 1, -1), gamma.reshape(-1, 2)):
             with pytest.raises(ValueError, match=r"shape \(5, 64\)"):
                 solve_bie(ks, bad)
+
+
+@pytest.fixture(scope="module")
+def four_slit_512():
+    """The four-slit preimage converged at n=512, whose solves have a
+    coarse level (n/8 = 64)."""
+    pre = iterate(StripSlitDomain(FOUR_SLITS), IterationConfig(n=512, eps=1e-11))
+    assert pre.converged
+    return pre
+
+
+class TestTwoGrid:
+    """Above n=256 a solve is right-preconditioned from the coarsest level
+    that resolves its geometry, and is plain GMRES without one."""
+
+    def test_map_and_charge_block_in_few_iterations(self, four_slit_512):
+        stats = four_slit_512.map.solution.stats
+        assert stats.iterations <= 3 and stats.coarse_n == 64
+        assert stats.coarse_h_dev < RESOLVED_H_DEV
+        ks = KernelSet(four_slit_512.map.bp, four_slit_512.map.theta)
+        ks.reangle(np.full(5, np.pi / 2))
+        alphas = np.array([geometry.psi_inv(p.z) for p in four_slit_512.params])
+        block = solve_bie(ks, np.log(np.abs(ks.bp.eta - alphas[:, None, None])))
+        assert block.stats.iterations <= 3 and block.stats.coarse_n == 64
+        assert block.h_dev.max() <= 1e-12
+
+    def test_matches_scipy_gmres_on_the_preconditioned_operator(self, four_slit_512):
+        # scipy's gmres on (I-N) M^-1 takes the same iterations, and M^-1 of
+        # its iterate is the solve's rho
+        linalg = pytest.importorskip("scipy.sparse.linalg")
+        import stripcap.solver as solver
+
+        ks = KernelSet(four_slit_512.map.bp, four_slit_512.map.theta)
+        gamma = strip_gamma(ks.bp, four_slit_512.map.theta)
+        precondition, nc, _ = solver._preconditioner(ks, gamma)
+        assert nc == 64
+        rhs = -ks.apply_M(gamma).reshape(-1)
+        op = linalg.LinearOperator(
+            ks.N.shape, dtype=float,
+            matvec=lambda z: ks.apply_I_minus_N(precondition(z).reshape(gamma.shape)).reshape(-1),
+        )
+        history = []
+        ref, _ = linalg.gmres(
+            op, rhs, rtol=solver.TOL, atol=0.0,
+            restart=min(solver.KRYLOV_BUDGET, rhs.size), maxiter=1,
+            callback=history.append, callback_type="pr_norm",
+        )
+        sol = solve_bie(ks, gamma)
+        assert sol.stats.iterations == len(history)
+        ref = precondition(ref)
+        assert np.abs(sol.rho.reshape(-1) - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_unresolved_coarse_level_leaves_plain_gmres(self, monkeypatch):
+        # the crowded pair at n=512: the n=64 check misses RESOLVED_H_DEV, so
+        # the solve is plain GMRES, bit for bit
+        import stripcap.solver as solver
+
+        omega = StripSlitDomain(
+            [geometry.SlitSpec(x - 1j, x + 1j) for x in (-0.01, 0.01)]
+        )
+        params = initialize(omega, IterationConfig(n=512, r=0.005))
+        ks = KernelSet(build_preimage_boundary(params, 512), omega.theta)
+        gamma = strip_gamma(ks.bp, omega.theta)
+        sol = solve_bie(ks, gamma)
+        assert sol.stats.coarse_n is None
+        assert sol.stats.coarse_h_dev >= RESOLVED_H_DEV
+        monkeypatch.setattr(solver, "COARSE_START", 1024)  # no level tried
+        plain = solve_bie(ks, gamma)
+        assert plain.stats.coarse_n is None and plain.stats.coarse_h_dev is None
+        assert np.array_equal(sol.rho, plain.rho)
+        assert sol.stats.history == plain.stats.history
+
+    def test_no_level_at_or_below_256(self):
+        ks, gamma = four_slit_system(256)
+        stats = solve_bie(ks, gamma).stats
+        assert stats.coarse_n is None and stats.coarse_h_dev is None
 
 
 class TestCauchyEval:
