@@ -128,7 +128,7 @@ def trig_derivative(samples):
     every node.  Exact (to rounding) for trigonometric polynomials of degree
     below n/2.
     """
-    samples = np.asarray(samples)
+    samples = as_array("samples", samples, complex)
     n = samples.shape[-1]
     _check_pow2(n)
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -535,10 +535,19 @@ def pairwise_chunks(nodes, targets, body):
 
 
 def winding_number(curve, w):
-    """Discrete winding number of a sampled closed curve about point(s) w."""
+    """Discrete winding number of a sampled closed curve about point(s) w.
+
+    A point outside the curve's bounding box winds 0 times, exactly: it is
+    counted so without forming its products, which overflow for a finite
+    point far enough away."""
     curve = as_array("curve", curve, complex)
     wv, shaped = as_points(w)
-    res = np.empty(wv.shape[0], dtype=int)
+    res = np.zeros(wv.shape[0], dtype=int)
+    cx, cy = curve.real, curve.imag
+    near = np.flatnonzero(
+        (cx.min(initial=np.inf) <= wv.real) & (wv.real <= cx.max(initial=-np.inf))
+        & (cy.min(initial=np.inf) <= wv.imag) & (wv.imag <= cy.max(initial=-np.inf))
+    )
 
     def count(rows, x, y):
         # the angle of z_{k+1} conj(z_k) is that of z_{k+1}/z_k, with no
@@ -549,9 +558,9 @@ def winding_number(curve, w):
         re += yn * y
         im = yn * x
         im -= xn * y
-        res[rows] = np.rint(np.arctan2(im, re).sum(axis=1) / (2.0 * np.pi))
+        res[near[rows]] = np.rint(np.arctan2(im, re).sum(axis=1) / (2.0 * np.pi))
 
-    pairwise_chunks(curve, wv, count)
+    pairwise_chunks(curve, wv[near], count)
     return shaped(res)
 
 

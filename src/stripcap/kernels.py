@@ -62,9 +62,9 @@ def dense_bytes(m, n):
     return 2 * 8 * ((m + 1) * n) ** 2
 
 
-def _assemble(eta, eta_dot, A, diag, n, empty=_mapped):
-    """Fill and return the dense (N, M1) matrices, allocated by ``empty``;
-    raises on coincident nodes.
+def _assemble(eta, eta_dot, A, diag, n):
+    """Fill and return the dense (N, M1) matrices, each in a mapping of its
+    own (``_mapped``); raises on coincident nodes.
 
     Off the diagonal C_ij = (1/pi) (A_i/A_j) eta'_j/(eta_j - eta_i) gives
     N = Im C and M1 = Re C.  The cot remainder cot(pi (i-j)/n)/(2 pi) only
@@ -72,7 +72,7 @@ def _assemble(eta, eta_dot, A, diag, n, empty=_mapped):
     each diagonal block of M1.  The diagonal entries are the limits ``diag``.
     """
     ntot = eta.shape[0]
-    N, M1 = empty((ntot, ntot)), empty((ntot, ntot))
+    N, M1 = _mapped((ntot, ntot)), _mapped((ntot, ntot))
     col = eta_dot / A / np.pi
 
     def fill(rows, x, y):
@@ -198,12 +198,10 @@ class KernelSet:
         return x, x.reshape(x.shape[:-2] + (-1,))
 
     def apply_M(self, x):
-        """Discretized singular operator: trapezoidal M1 plus cot convolution,
-        on values of shape (m+1, n) or a block (k, m+1, n) of them."""
-        x, flat = self._flat(x)
-        out = (self._w * (flat @ self.M1.T)).reshape(x.shape)
-        out += singular_cot_part(x)
-        return out
+        """Discretized singular operator (``trapezoid_M``) on values of
+        shape (m+1, n) or a block (k, m+1, n) of them."""
+        x, _ = self._flat(x)
+        return trapezoid_M(self.M1, x)
 
     def apply_I_minus_N(self, x):
         """(I - N) x for values of shape (m+1, n) or a block (k, m+1, n)."""
@@ -213,33 +211,15 @@ class KernelSet:
         return (flat - self._w * (flat @ self.N.T)).reshape(x.shape)
 
 
-def coarse_operators(ks, nc):
-    """Dense I - N and M of the kernel ``ks`` at nc nodes per component, nc
-    a power of two below n, for a two-grid preconditioner.
-
-    ``_assemble`` runs on every (n/nc)-th node of ``ks``'s geometry with
-    its current A, so the angles and the base point are ``ks``'s own, and
-    the diagonal limits are read off ``ks.N`` and ``ks.M1`` (``reangle``
-    keeps diagonal blocks).  The trapezoidal weight 2 pi/nc goes into both
-    matrices and the cot convolution into M as one dense nc x nc circulant
-    per diagonal block, so each is the whole coarse operator.  They are
-    plain arrays, not a KernelSet: nothing counts or keeps them as a kernel.
-    They come from malloc's heap, not ``_mapped``: made while the fine
-    kernel is alive, they fit in heap memory already resident, where fresh
-    mappings raised flow's peak RSS by their 1.6 MB at n=512.
-    """
-    pick = np.arange(0, ks.N.shape[0], ks.bp.n // nc)
-    diag = ks.M1[pick, pick] + 1j * ks.N[pick, pick]
-    A = ks.A.reshape(-1)[pick]
-    N, M = _assemble(ks.bp.flat_eta[pick], ks.bp.flat_eta_dot[pick], A, diag, nc, np.empty)
-    w = 2.0 * np.pi / nc
-    N *= -w
-    N[np.arange(pick.size), np.arange(pick.size)] += 1.0
-    M *= w
-    cot = singular_cot_part(np.eye(nc)).T
-    for j0 in range(0, pick.size, nc):
-        M[j0 : j0 + nc, j0 : j0 + nc] += cot
-    return N, M
+def trapezoid_M(M1, x):
+    """M x for values x of shape (..., m+1, n): the trapezoidal rule with
+    weight 2 pi/n on the stored remainder M1, an (m+1) n-square matrix,
+    plus the cot convolution.  A kernel's M1 restricted to every (n/nc)-th
+    node is the remainder at nc nodes, so this applies the coarse M too."""
+    flat = x.reshape(x.shape[:-2] + (-1,))
+    out = (2.0 * np.pi / x.shape[-1] * (flat @ M1.T)).reshape(x.shape)
+    out += singular_cot_part(x)
+    return out
 
 
 def singular_cot_part(rows):

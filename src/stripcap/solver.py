@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConvergenceError, GeometryError
 from .geometry import as_array, as_points, pairwise_chunks, resample
-from .kernels import _mapped, coarse_operators
+from .kernels import _mapped, trapezoid_M
 
 TOL = 1e-14
 # the crowded pair x=+-0.01, r=0.005, n=256 needs up to 284 Krylov iterations
@@ -110,21 +110,34 @@ def _gmres_pass(matvec, b, x, r, atol, history):
     return x, b - matvec(x)
 
 
+def _field_stats(m_rho, n_gamma):
+    """``(h, h_dev)``: the per-component means and standard deviations of
+    the field [M rho - (I-N) gamma]/2, given M rho and (I-N) gamma."""
+    field = 0.5 * (m_rho - n_gamma)
+    return field.mean(axis=-1), field.std(axis=-1)
+
+
 def _preconditioner(ks, gamma):
     """``(apply, nc, h_dev)``: the two-grid right preconditioner
     M^-1 = I + P[(I - N_c)^-1 - I]R for ``solve_bie`` on flat Krylov
     vectors of ``gamma``'s shape, its level and the last coarse ``h_dev``.
 
     Levels nc = COARSE_START, 2 COARSE_START, ... up to n/8 are tried in
-    turn.  At each, ``coarse_operators`` gives I - N_c and M_c, the coarse
-    problem for ``gamma`` sampled at the coarse nodes is solved directly,
-    and the level resolves the geometry when that solve's largest
-    ``h_dev`` is below RESOLVED_H_DEV (a NaN does not).  The first level
-    that resolves is taken: M_c goes, and I - N_c is the one (m+1)
-    nc-square matrix kept.  R restricts by spectral truncation and P
-    prolongs by zero-padded FFT (``resample``).  With no level, or none
-    resolved, ``apply`` returns its argument itself and nc is None.
+    turn.  Each restricts ``ks``'s own N and M1 to every (n/nc)-th node:
+    the cot remainder at node distance (n/nc) d is the one at nc nodes and
+    distance d, so these are the kernel at nc nodes, and M applies as the
+    fine one does (``trapezoid_M``).  The coarse problem for ``gamma``
+    sampled at those nodes is solved directly, and the level resolves the
+    geometry when that solve's largest ``h_dev`` is below RESOLVED_H_DEV
+    (a NaN does not).  The first level that resolves is taken: M1_c goes,
+    and I - N_c is the one (m+1) nc-square matrix kept.  R restricts by
+    spectral truncation and P prolongs by zero-padded FFT (``resample``).
+    With no level, or none resolved, ``apply`` returns its argument itself
+    and nc is None.
 
+    The coarse copies come from malloc's heap, not ``_mapped``: made while
+    the fine kernel is alive, they fit in heap memory already resident,
+    where fresh mappings raised flow's peak RSS by their 1.6 MB at n=512.
     Each application solves with I - N_c rather than multiplying by an
     inverse: a solve takes a third of an inverse's time, so up to three
     applications cost what the inverse does, and LAPACK's inverse first
@@ -136,12 +149,16 @@ def _preconditioner(ks, gamma):
     shape = gamma.shape
     nc = COARSE_START
     while nc <= n // 8:
-        A, M = coarse_operators(ks, nc)
-        g = gamma[..., :: n // nc].reshape(-1, A.shape[0])
-        rho = np.linalg.solve(A, -(g @ M.T).T).T
-        field = 0.5 * (rho @ M.T - g @ A.T)
-        del M
-        h_dev = float(field.reshape(-1, ks.bp.m + 1, nc).std(axis=-1).max())
+        step = n // nc
+        A = ks.N[::step, ::step] * (-2.0 * np.pi / nc)
+        A[np.diag_indices_from(A)] += 1.0
+        M1 = ks.M1[::step, ::step].copy()
+        g = gamma[..., ::step]
+        rows = g.reshape(-1, A.shape[0])
+        rho = np.linalg.solve(A, -trapezoid_M(M1, g).reshape(rows.shape).T).T.reshape(g.shape)
+        _, dev = _field_stats(trapezoid_M(M1, rho), (rows @ A.T).reshape(g.shape))
+        del M1
+        h_dev = float(dev.max())
         if h_dev < RESOLVED_H_DEV:
             break
         nc *= 2
@@ -231,13 +248,11 @@ def solve_bie(ks, gamma):
             f"{target[row]:.3e})",
             history=history,
         )
-    field = 0.5 * (ks.apply_M(rho) - ks.apply_I_minus_N(gamma))
+    h, h_dev = _field_stats(ks.apply_M(rho), ks.apply_I_minus_N(gamma))
     stats = SolverStats(
         residual=residual, history=history, coarse_n=coarse_n, coarse_h_dev=coarse_h_dev
     )
-    return BieSolution(
-        rho=rho, h=field.mean(axis=-1), h_dev=field.std(axis=-1), stats=stats
-    )
+    return BieSolution(rho=rho, h=h, h_dev=h_dev, stats=stats)
 
 
 def cauchy_sums(bnodes, weights, values, targets):

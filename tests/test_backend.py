@@ -1,7 +1,10 @@
 """The package has one implementation, dense numpy, and says so; every
-name it exports exists."""
+name it exports, and every module attribute its README names, exists."""
 
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +22,21 @@ class TestEquivalence:
 
 def test_all_names_resolve():
     missing = [name for name in stripcap.__all__ if not hasattr(stripcap, name)]
+    assert missing == []
+
+
+def test_readme_references_resolve():
+    # every `module.name` the README names, e.g. `kernels.default_alpha` or
+    # `stripcap.solve_bie`, is an attribute of that stripcap module
+    modules = {
+        m.name: importlib.import_module(f"stripcap.{m.name}")
+        for m in pkgutil.iter_modules(stripcap.__path__)
+    }
+    modules["stripcap"] = stripcap
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    refs = [(mod, name) for mod, name in re.findall(r"`(\w+)\.(\w+)", text) if mod in modules]
+    assert len(refs) >= 14
+    missing = [f"{mod}.{name}" for mod, name in refs if not hasattr(modules[mod], name)]
     assert missing == []
 
 

@@ -96,6 +96,10 @@ BAD_INPUT = {
         ValueError,
         r"alphas\[0\] .* inside hole 1",
     ),
+    # a finite point far outside every hole: its winding products overflowed
+    "charges_from_boundary-far-point": (
+        lambda ctx: _charges(ctx, [1e200]), ValueError, r"alphas\[0\] .* inside hole 1"
+    ),
     "charges_from_boundary-two-points": (
         lambda ctx: _charges(ctx, [0.0, 0.0]), ValueError, "one point per hole, 1, got 2"
     ),
@@ -185,6 +189,9 @@ ARRAY_SITES = {
     "winding_number.curve": (
         lambda ctx, v: winding_number(v, 0.0), CIRCLE, complex, ValueError, "curve"
     ),
+    "trig_derivative": (
+        lambda ctx, v: sc.trig_derivative(v), CIRCLE, complex, ValueError, "samples"
+    ),
     **{
         f"SlitSpec.{name}": (
             lambda ctx, v, name=name: sc.SlitSpec(**{"a": 0.0, "b": 1.0, name: v}),
@@ -240,6 +247,18 @@ def test_bad_input_raises_without_warning(ctx, case):
         warnings.simplefilter("error")
         with pytest.raises(error, match=match):
             call(ctx)
+
+
+# finite points outside the curve's bounding box, whose products overflowed
+FAR_POINTS = {"real": 1e200, "complex": 1e200 + 1e200j, "below": -1e200j, "just-right": 1.5}
+
+
+@pytest.mark.parametrize("point", FAR_POINTS.values(), ids=FAR_POINTS)
+def test_far_point_winds_zero_without_warning(point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert winding_number(CIRCLE, point) == 0
+        assert winding_number(CIRCLE, [0.3, point, -0.5j]).tolist() == [1, 0, 1]
 
 
 @pytest.mark.parametrize("name", POINT_FUNCTIONS)

@@ -285,6 +285,23 @@ class TestTwoGrid:
         assert block.stats.iterations <= 3 and block.stats.coarse_n == 64
         assert block.h_dev.max() <= 1e-12
 
+    def test_preconditioned_charges_match_plain_gmres(self, four_slit_512, monkeypatch):
+        # the coarse level of a re-angled kernel is the fine kernel's rotated
+        # entries restricted, so its bits differ from a fresh coarse assembly;
+        # the charge block it preconditions agrees with the plain solve
+        import stripcap.solver as solver
+
+        ks = KernelSet(four_slit_512.map.bp, four_slit_512.map.theta)
+        ks.reangle(np.full(5, np.pi / 2))
+        alphas = np.array([geometry.psi_inv(p.z) for p in four_slit_512.params])
+        gamma = np.log(np.abs(ks.bp.eta - alphas[:, None, None]))
+        pre = solve_bie(ks, gamma)
+        monkeypatch.setattr(solver, "COARSE_START", 1024)  # no level tried
+        plain = solve_bie(ks, gamma)
+        assert pre.stats.coarse_n == 64 and plain.stats.coarse_n is None
+        for a, b in ((pre.rho, plain.rho), (pre.h, plain.h)):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+
     def test_matches_scipy_gmres_on_the_preconditioned_operator(self, four_slit_512):
         # scipy's gmres on (I-N) M^-1 takes the same iterations, and M^-1 of
         # its iterate is the solve's rho
