@@ -120,6 +120,12 @@ def _check_pow2(n, name="node count"):
     return n
 
 
+def _node_count(samples):
+    if samples.ndim == 0:
+        raise ValueError(f"samples must be an array along the nodes, not the scalar {samples}")
+    return _check_pow2(samples.shape[-1])
+
+
 def trig_derivative(samples):
     """Spectral derivative of 2*pi-periodic samples on an equidistant grid.
 
@@ -129,8 +135,7 @@ def trig_derivative(samples):
     below n/2.
     """
     samples = as_array("samples", samples, complex)
-    n = samples.shape[-1]
-    _check_pow2(n)
+    n = _node_count(samples)
     k = np.fft.fftfreq(n, d=1.0 / n)
     k[n // 2] = 0.0
     return np.fft.ifft(np.fft.fft(samples, axis=-1) * (1j * k), axis=-1)
@@ -145,8 +150,7 @@ def _spectrum(samples):
     arrays have n + 1 entries.
     """
     samples = np.asarray(samples)
-    n = samples.shape[-1]
-    _check_pow2(n)
+    n = _node_count(samples)
     c = np.fft.fft(samples) / n
     c[n // 2] *= 0.5
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -168,7 +172,7 @@ def resample(samples, n):
     real samples give real ones.
     """
     samples = np.asarray(samples)
-    n0 = _check_pow2(samples.shape[-1])
+    n0 = _node_count(samples)
     n = _check_pow2(n)
     if n == n0:
         return samples.copy()
@@ -204,7 +208,7 @@ def trig_extrema(samples):
     eps (1e-11 by default), hence the Newton polish.
     """
     u = np.asarray(samples, dtype=float)
-    n = u.shape[0]
+    n = _node_count(u)
     c, k = _spectrum(u)
     c1 = c * (1j * k)
     c2 = c1 * (1j * k)

@@ -23,11 +23,10 @@ from .geometry import (
     clearance_ratio,
 )
 from .kernels import KernelSet, dense_bytes
-from .solver import RESOLVED_H_DEV
-from .stripmap import build_map, extract_slit_images
+from .solver import resolving_level
+from .stripmap import build_map, extract_slit_images, strip_gamma
 
-# n=128 resolves the four-slit and channel geometries (first-solve h_dev
-# 3.4e-15 and 2.4e-11); each coarse level that does not costs one first solve
+# n=128 resolves the four-slit and channel geometries (so does level 64)
 LADDER_START = 128
 
 
@@ -51,7 +50,7 @@ class IterationConfig:
 @dataclass(frozen=True)
 class LadderLevel:
     """One rung of the n-ladder: its node count, the outer steps it took and
-    the largest ``h_dev`` of its last solve (None when no solve finished)."""
+    the largest ``h_dev`` of its last solve, or of the judgement that found no level."""
 
     n: int
     steps: int
@@ -137,16 +136,15 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
     The run climbs the doubling ladder n0 = min(cfg.n, LADDER_START), 2 n0,
     ..., cfg.n, and each level starts from the parameters of the last
     resolved level below it, or from ``initialize`` while none has
-    resolved.  A coarse level that does not resolve the geometry (the
-    largest ``h_dev`` of its first solve reaches RESOLVED_H_DEV, it misses
-    eps, or it raises GeometryError or ConvergenceError) hands nothing up.
-    ``max_iter`` caps each level, and the top level alone decides
-    ``converged``.
+    resolved.  A coarse level that does not resolve the geometry (no level
+    up to its n resolves it, it misses eps, or it raises GeometryError or
+    ConvergenceError) hands nothing up.  ``max_iter`` caps each level, and
+    the top level alone decides ``converged``.
 
     ``progress``, when given, receives one dict per outer step (k counted
-    over all levels, n, error, gmres_iters, elapsed_ms).  Returns the full
-    history whether or not the tolerance was met.  A cfg.n whose kernels
-    cannot fit in physical memory raises MemoryLimitError before any work.
+    over all levels, n, error, gmres_iters, coarse_n, elapsed_ms).  Returns
+    the full history whether or not the tolerance was met.  A cfg.n whose
+    kernels cannot fit in physical memory raises MemoryLimitError first.
     """
     _check_memory(omega.m, cfg.n)  # initialize already builds the boundary at cfg.n
     params = initialize(omega, cfg)
@@ -177,8 +175,9 @@ def _run_level(result, params, n, progress, coarse=False):
     """Up to ``max_iter`` outer steps at n from ``params``, appended to the
     histories of ``result``; leaves the last solved parameters and map in
     it and the level in ``result.levels``, also when a step raises.
-    Returns whether the level resolved: it met eps, and a coarse level's
-    first solve had a largest ``h_dev`` below RESOLVED_H_DEV (else it stops).
+    Returns whether the level resolved (see ``iterate``).  Every step keeps
+    the level ``resolving_level`` judged on the first kernel, up to n (n/8
+    on the top level); a coarse level it finds none for takes no step.
     ``result`` keeps the kernel of its map, and the last step's kernel is
     dropped before the next is assembled.
     """
@@ -186,7 +185,7 @@ def _run_level(result, params, n, progress, coarse=False):
     targets_c = np.array([s.c for s in omega.slits])
     targets_l = np.array([s.ell for s in omega.slits])
     shrink = 1.0 - 0.5 * cfg.r
-    steps, h_dev = 0, None
+    steps, h_dev, level = 0, None, None
     try:
         while steps < cfg.max_iter:
             t0 = time.perf_counter()
@@ -194,7 +193,12 @@ def _run_level(result, params, n, progress, coarse=False):
             # at most one kernel alive: the last step's goes before the next
             result._kernel = None
             ks = KernelSet(bp, omega.theta)
-            md = build_map(ks)
+            if level is None:  # the rung's one judgement
+                level = resolving_level(ks, strip_gamma(bp, omega.theta), n if coarse else n // 8)
+                if coarse and level[0] is None:
+                    h_dev = level[1]
+                    return False
+            md = build_map(ks, level)
             centers, lengths = extract_slit_images(md)
             result.params, result.map, result._kernel = list(params), md, ks
             del ks
@@ -213,11 +217,10 @@ def _run_level(result, params, n, progress, coarse=False):
                         "n": n,
                         "error": err,
                         "gmres_iters": md.solution.stats.iterations,
+                        "coarse_n": md.solution.stats.coarse_n,
                         "elapsed_ms": 1e3 * (time.perf_counter() - t0),
                     }
                 )
-            if coarse and steps == 1 and h_dev >= RESOLVED_H_DEV:
-                return False
             if err < cfg.eps:
                 return True
             params = [

@@ -11,11 +11,10 @@ from .kernels import _mapped, trapezoid_M
 TOL = 1e-14
 # the crowded pair x=+-0.01, r=0.005, n=256 needs up to 284 Krylov iterations
 KRYLOV_BUDGET = 400
-# the geometric middle of criterion 3's first-solve h_dev at n=128 (7.1e-5)
-# and the crowded pair's at every n <= 512 (1.5e-3 and above); a level
-# whose largest h_dev is below it resolves the geometry
+# the geometric middle of criterion 3's h_dev at n=128 (7.1e-5) and the
+# crowded pair's at every n <= 512 (1.5e-3 and above)
 RESOLVED_H_DEV = 3e-4
-# the coarsest level of the two-grid preconditioner; levels double up to n/8
+# the coarsest level resolving_level tries; levels double up to its top
 COARSE_START = 64
 
 
@@ -24,9 +23,9 @@ class SolverStats:
     """Krylov iterations and their relative residual norms, shared by every
     right-hand side of a solve; ``residual`` is an array of k, one
     max|rhs - (I-N) rho| per right-hand side (k = 1 for a single one).
-    ``coarse_n`` is the preconditioner's level (None when none resolved)
-    and ``coarse_h_dev`` the largest ``h_dev`` of the last coarse solve
-    tried (None when no level was tried)."""
+    ``coarse_n`` is the preconditioner's level (None without one) and
+    ``coarse_h_dev`` the ``h_dev`` ``resolving_level`` returned for it, on a
+    ladder rung the first kernel's (None when no level was tried)."""
 
     residual: np.ndarray
     history: list
@@ -117,64 +116,57 @@ def _field_stats(m_rho, n_gamma):
     return field.mean(axis=-1), field.std(axis=-1)
 
 
-def _preconditioner(ks, gamma):
-    """``(apply, nc, h_dev)``: the two-grid right preconditioner
-    M^-1 = I + P[(I - N_c)^-1 - I]R for ``solve_bie`` on flat Krylov
-    vectors of ``gamma``'s shape, its level and the last coarse ``h_dev``.
+def _coarse_I_minus_N(ks, nc):
+    """``ks``'s own I - N at every (n/nc)-th node, I - N_c at nc nodes: the cot
+    remainder at node distance (n/nc) d is the one at nc nodes and distance d."""
+    A = ks.N[:: ks.bp.n // nc, :: ks.bp.n // nc] * (-2.0 * np.pi / nc)
+    A[np.diag_indices_from(A)] += 1.0
+    return A
 
-    Levels nc = COARSE_START, 2 COARSE_START, ... up to n/8 are tried in
-    turn.  Each restricts ``ks``'s own N and M1 to every (n/nc)-th node:
-    the cot remainder at node distance (n/nc) d is the one at nc nodes and
-    distance d, so these are the kernel at nc nodes, and M applies as the
-    fine one does (``trapezoid_M``).  The coarse problem for ``gamma``
-    sampled at those nodes is solved directly, and the level resolves the
-    geometry when that solve's largest ``h_dev`` is below RESOLVED_H_DEV
-    (a NaN does not).  The first level that resolves is taken: M1_c goes,
-    and I - N_c is the one (m+1) nc-square matrix kept.  R restricts by
-    spectral truncation and P prolongs by zero-padded FFT (``resample``).
-    With no level, or none resolved, ``apply`` returns its argument itself
-    and nc is None.
 
-    The coarse copies come from malloc's heap, not ``_mapped``: made while
-    the fine kernel is alive, they fit in heap memory already resident,
-    where fresh mappings raised flow's peak RSS by their 1.6 MB at n=512.
-    Each application solves with I - N_c rather than multiplying by an
-    inverse: a solve takes a third of an inverse's time, so up to three
-    applications cost what the inverse does, and LAPACK's inverse first
-    touches about 1.5 MB more of OpenBLAS's buffers, which stay resident
-    (flow's peak RSS at n=512 rose 1.3 to 2.0 MB with it, 0.3 to 0.8 MB
-    without).
-    """
-    n, h_dev = ks.bp.n, None
-    shape = gamma.shape
-    nc = COARSE_START
-    while nc <= n // 8:
+def resolving_level(ks, gamma, top):
+    """``(nc, h_dev)``: the first level nc = COARSE_START, 2 COARSE_START, ...
+    up to ``top`` whose direct solve for ``gamma`` sampled there has its
+    largest ``h_dev`` below RESOLVED_H_DEV (a NaN never has), and that h_dev;
+    else None and the last level's h_dev (None when none was tried).  The
+    copies of N and M1 at every (n/nc)-th node come from malloc's heap,
+    already resident, where ``_mapped`` ones raised flow's peak RSS by 1.6 MB."""
+    n, nc, h_dev = ks.bp.n, COARSE_START, None
+    while nc <= top:
         step = n // nc
-        A = ks.N[::step, ::step] * (-2.0 * np.pi / nc)
-        A[np.diag_indices_from(A)] += 1.0
-        M1 = ks.M1[::step, ::step].copy()
+        A = _coarse_I_minus_N(ks, nc)
+        M1 = np.ascontiguousarray(ks.M1[::step, ::step])  # at nc = n, no copy
         g = gamma[..., ::step]
         rows = g.reshape(-1, A.shape[0])
         rho = np.linalg.solve(A, -trapezoid_M(M1, g).reshape(rows.shape).T).T.reshape(g.shape)
         _, dev = _field_stats(trapezoid_M(M1, rho), (rows @ A.T).reshape(g.shape))
-        del M1
+        del A, M1
         h_dev = float(dev.max())
         if h_dev < RESOLVED_H_DEV:
-            break
+            return nc, h_dev
         nc *= 2
-    else:
-        return (lambda z: z), None, h_dev
+    return None, h_dev
+
+
+def _preconditioner(ks, shape, nc):
+    """``(apply, nc)``: the two-grid right preconditioner
+    M^-1 = I + P[(I - N_c)^-1 - I]R at level nc (R, P: ``resample``) on flat
+    Krylov vectors of data of ``shape``, each application a solve with
+    I - N_c; the identity and None for nc None or above n/8."""
+    if nc is None or nc > ks.bp.n // 8:
+        return (lambda z: z), None
+    A = _coarse_I_minus_N(ks, nc)
     coarse = shape[:-1] + (nc,)
 
     def apply(z):
         c = resample(z.reshape(shape), nc).reshape(-1, A.shape[0])
         c = np.linalg.solve(A, c.T).T - c
-        return z + resample(c.reshape(coarse), n).reshape(-1)
+        return z + resample(c.reshape(coarse), shape[-1]).reshape(-1)
 
-    return apply, nc, h_dev
+    return apply, nc
 
 
-def solve_bie(ks, gamma):
+def solve_bie(ks, gamma, level=None):
     """Solve (I - N) rho = -M gamma by restart-free GMRES, matrix-free, and
     read off the piecewise constants h of the field [M rho - (I-N) gamma]/2.
 
@@ -186,12 +178,12 @@ def solve_bie(ks, gamma):
     exact, so the joint tolerance holds every one alike; a single right-hand
     side runs as a block of one.
 
-    GMRES is right-preconditioned from the coarsest level that resolves the
-    geometry (``_preconditioner``): it solves (I - N) M^-1 y = rhs and
-    rho = M^-1 y, so its residuals are those of rho.  For n < 8
-    COARSE_START = 512 no level exists, and where none resolves M^-1 is the
-    identity: the solve is plain GMRES, bit for bit.  ``stats.coarse_n``
-    and ``stats.coarse_h_dev`` tell which case ran.
+    GMRES is right-preconditioned (``_preconditioner``) from the level that
+    ``resolving_level`` finds for ``gamma`` up to n/8, or that ``level``
+    holds from an earlier kernel of the geometry: it solves
+    (I - N) M^-1 y = rhs and rho = M^-1 y, so its residuals are those of rho.
+    With no such level (always for n < 512) the solve is plain GMRES, bit
+    for bit.  ``stats.coarse_n`` and ``stats.coarse_h_dev`` tell which ran.
 
     GMRES runs to the relative residual ``TOL`` within ``KRYLOV_BUDGET``
     iterations.  A second pass starts from the first pass's iterate and runs
@@ -222,7 +214,8 @@ def solve_bie(ks, gamma):
     exps[norms > 0, 0] = np.rint(np.log2(norms[norms > 0]))
     b = np.ldexp(rhs, -exps).reshape(-1)
 
-    precondition, coarse_n, coarse_h_dev = _preconditioner(ks, gamma)
+    coarse_n, coarse_h_dev = resolving_level(ks, gamma, ks.bp.n // 8) if level is None else level
+    precondition, coarse_n = _preconditioner(ks, gamma.shape, coarse_n)
 
     def matvec(z):
         return ks.apply_I_minus_N(precondition(z).reshape(gamma.shape)).reshape(-1)

@@ -114,13 +114,13 @@ class MapData:
         return shaped(self._affine(pts, fvals) + psi(pts))
 
 
-def build_map(ks):
+def build_map(ks, level=None):
     """Solve the boundary integral equation on the caller's kernel ``ks``
-    and assemble the map data for its geometry and angles.  The map keeps
-    no reference to ``ks``; the caller still owns it."""
+    (``level`` as in ``solve_bie``) and assemble the map data for its
+    geometry and angles.  The map keeps no reference to ``ks``."""
     bp, theta = ks.bp, ks.theta
     gamma = strip_gamma(bp, theta)
-    sol = solve_bie(ks, gamma)
+    sol = solve_bie(ks, gamma, level)
     f_boundary = (gamma + sol.h[:, None] + 1j * sol.rho) / ks.A
     # eta_0(n/4) = e^{i pi/2} = i exactly: f(i) is a boundary node value
     f_at_i = complex(f_boundary[0, bp.n // 4])

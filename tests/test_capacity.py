@@ -126,6 +126,28 @@ class TestChargeResolution:
         assert res.charge_h_dev.shape == (2,)
         assert res.charge_h_dev.min() >= 1e-1
 
+    def test_one_judgement_per_rung_and_charge_solve(self, monkeypatch):
+        # the ladder judges each rung once, not each step, and the charge
+        # block judges its own data
+        import stripcap.preimage as preimage
+        import stripcap.solver as solver
+
+        calls = []
+        judge = solver.resolving_level
+
+        def counted(ks, gamma, top):
+            calls.append((ks.bp.n, gamma.ndim))
+            return judge(ks, gamma, top)
+
+        monkeypatch.setattr(solver, "resolving_level", counted)
+        monkeypatch.setattr(preimage, "resolving_level", counted)
+        x = 0.01
+        dom = StripSlitDomain([SlitSpec(-x - 1j, -x + 1j), SlitSpec(x - 1j, x + 1j)])
+        res = capacity(CondenserSpec(dom), IterationConfig(n=256, r=0.5 * x))
+        assert [lv.n for lv in res.preimage.levels] == [128, 256]
+        assert res.preimage.iterations > 2
+        assert calls == [(128, 2), (256, 2), (256, 3)]
+
     def test_resolved_four_slits(self):
         res = capacity(CondenserSpec(StripSlitDomain(FOUR_SLITS)), IterationConfig(n=256))
         assert res.charge_h_dev.shape == (4,)

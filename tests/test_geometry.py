@@ -115,6 +115,22 @@ class TestTrigTools:
         ref = np.cos(2 * tq) + 3 * np.sin(5 * tq)
         assert np.abs(trig_interp(f, tq) - ref).max() < 1e-12
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            sc.trig_derivative,
+            lambda v: resample(v, 16),
+            lambda v: trig_interp(v, [0.5]),
+            trig_extrema,
+        ],
+        ids=["trig_derivative", "resample", "trig_interp", "trig_extrema"],
+    )
+    @pytest.mark.parametrize("value", [1.0, np.array(2.5)], ids=["scalar", "0-d"])
+    def test_scalar_samples_named(self, call, value):
+        # a scalar has no node axis: a named ValueError, not an IndexError
+        with pytest.raises(ValueError, match="samples must be an array along the nodes"):
+            call(value)
+
     def test_derivative_matches_interpolant_at_nodes(self):
         # trig_derivative zeroes the Nyquist mode, and the derivative of the
         # cosine _spectrum takes it for, -5.6 sin(8t), vanishes at every node

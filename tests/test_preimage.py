@@ -7,13 +7,8 @@ import stripcap.preimage as preimage
 from stripcap.capacity import charges_from_boundary
 from stripcap.errors import ConvergenceError, GeometryError, MemoryLimitError, OverlapError
 from stripcap.geometry import SlitSpec, StripSlitDomain, psi_inv
-from stripcap.preimage import (
-    RESOLVED_H_DEV,
-    IterationConfig,
-    PreimageResult,
-    initialize,
-    iterate,
-)
+from stripcap.preimage import IterationConfig, PreimageResult, initialize, iterate
+from stripcap.solver import RESOLVED_H_DEV
 
 from conftest import FOUR_SLITS
 
@@ -184,30 +179,52 @@ class TestLadder:
         # build_map raises at one n, so that level counts as unresolved
         build_map = preimage.build_map
 
-        def failing(ks):
+        def failing(ks, *args):
             if ks.bp.n == n_fail:
                 raise ConvergenceError("stalled")
-            return build_map(ks)
+            return build_map(ks, *args)
 
         monkeypatch.setattr(preimage, "build_map", failing)
 
     def test_unresolved_level_hands_up_nothing(self, monkeypatch):
-        # the crowded pair: n=128 does not resolve the 0.02 gap, so its
-        # first solve ends that level, and n=256, with no resolved level
-        # below it, starts from the initial ellipses
+        # the crowded pair: no level up to n=128 resolves the 0.02 gap, so
+        # that rung ends on its judgement with no Krylov iteration, and
+        # n=256, with no resolved level below it, runs as a cold one
+        import stripcap.solver as solver
+
+        passes = {}
+        gmres_pass = solver._gmres_pass
+
+        def counted(matvec, b, *args):
+            passes[b.size // 3] = passes.get(b.size // 3, 0) + 1
+            return gmres_pass(matvec, b, *args)
+
+        monkeypatch.setattr(solver, "_gmres_pass", counted)
         omega = StripSlitDomain(
             [SlitSpec(-0.01 - 1j, -0.01 + 1j), SlitSpec(0.01 - 1j, 0.01 + 1j)]
         )
         cfg = IterationConfig(n=256, r=0.005, eps=1e-11, max_iter=2)
         res = iterate(omega, cfg)
         first, top = res.levels
-        assert (first.n, first.steps) == (128, 1)
+        assert (first.n, first.steps) == (128, 0)
         assert first.h_dev >= RESOLVED_H_DEV
         assert (top.n, top.steps) == (256, 2)
+        assert set(passes) == {256}
         monkeypatch.setattr(preimage, "LADDER_START", cfg.n)
         cold = iterate(omega, cfg)
-        assert res.error_history[1:] == cold.error_history
-        assert res.gmres_history[1:] == cold.gmres_history
+        assert res.error_history == cold.error_history
+        assert res.gmres_history == cold.gmres_history
+
+    def test_nan_judgement_leaves_a_rung_unresolved(self, monkeypatch):
+        # a NaN h_dev resolves no level: the four-slit rung at n=128, which
+        # level 64 resolves with finite data, then hands nothing up
+        import stripcap.solver as solver
+
+        monkeypatch.setattr(solver, "trapezoid_M", lambda M1, x: np.full(x.shape, np.nan))
+        res = iterate(StripSlitDomain(FOUR_SLITS), IterationConfig(n=256))
+        first, top = res.levels
+        assert (first.n, first.steps) == (128, 0) and np.isnan(first.h_dev)
+        assert top.n == 256 and res.converged
 
     def test_failing_level_hands_up_nothing(self, monkeypatch):
         # a coarse level that raises counts as unresolved: recorded with no

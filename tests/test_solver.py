@@ -39,6 +39,15 @@ def four_slit_system(n=128):
     return KernelSet(bp, omega.theta), strip_gamma(bp, omega.theta)
 
 
+def crowded_pair_system(n):
+    """The strip-map system of two vertical slits 0.02 apart at r=0.005,
+    which no level up to n=512 resolves."""
+    omega = StripSlitDomain([geometry.SlitSpec(x - 1j, x + 1j) for x in (-0.01, 0.01)])
+    params = initialize(omega, IterationConfig(n=n, r=0.005))
+    bp = build_preimage_boundary(params, n)
+    return KernelSet(bp, omega.theta), strip_gamma(bp, omega.theta)
+
+
 class TestSolveRho:
     def test_circle_dirichlet_oracle(self):
         # A = eta on the unit circle; boundary data of the analytic f(w) = w^2
@@ -285,7 +294,7 @@ class TestTwoGrid:
         assert block.stats.iterations <= 3 and block.stats.coarse_n == 64
         assert block.h_dev.max() <= 1e-12
 
-    def test_preconditioned_charges_match_plain_gmres(self, four_slit_512, monkeypatch):
+    def test_preconditioned_charges_match_plain_gmres(self, four_slit_512):
         # the coarse level of a re-angled kernel is the fine kernel's rotated
         # entries restricted, so its bits differ from a fresh coarse assembly;
         # the charge block it preconditions agrees with the plain solve
@@ -296,8 +305,8 @@ class TestTwoGrid:
         alphas = np.array([geometry.psi_inv(p.z) for p in four_slit_512.params])
         gamma = np.log(np.abs(ks.bp.eta - alphas[:, None, None]))
         pre = solve_bie(ks, gamma)
-        monkeypatch.setattr(solver, "COARSE_START", 1024)  # no level tried
-        plain = solve_bie(ks, gamma)
+        # a judgement up to n/16 < COARSE_START tries no level
+        plain = solve_bie(ks, gamma, solver.resolving_level(ks, gamma, 32))
         assert pre.stats.coarse_n == 64 and plain.stats.coarse_n is None
         for a, b in ((pre.rho, plain.rho), (pre.h, plain.h)):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
@@ -310,8 +319,9 @@ class TestTwoGrid:
 
         ks = KernelSet(four_slit_512.map.bp, four_slit_512.map.theta)
         gamma = strip_gamma(ks.bp, four_slit_512.map.theta)
-        precondition, nc, _ = solver._preconditioner(ks, gamma)
+        nc, _ = solver.resolving_level(ks, gamma, 512 // 8)
         assert nc == 64
+        precondition, _ = solver._preconditioner(ks, gamma.shape, nc)
         rhs = -ks.apply_M(gamma).reshape(-1)
         op = linalg.LinearOperator(
             ks.N.shape, dtype=float,
@@ -328,22 +338,17 @@ class TestTwoGrid:
         ref = precondition(ref)
         assert np.abs(sol.rho.reshape(-1) - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_unresolved_coarse_level_leaves_plain_gmres(self, monkeypatch):
+    def test_unresolved_coarse_level_leaves_plain_gmres(self):
         # the crowded pair at n=512: the n=64 check misses RESOLVED_H_DEV, so
         # the solve is plain GMRES, bit for bit
         import stripcap.solver as solver
 
-        omega = StripSlitDomain(
-            [geometry.SlitSpec(x - 1j, x + 1j) for x in (-0.01, 0.01)]
-        )
-        params = initialize(omega, IterationConfig(n=512, r=0.005))
-        ks = KernelSet(build_preimage_boundary(params, 512), omega.theta)
-        gamma = strip_gamma(ks.bp, omega.theta)
+        ks, gamma = crowded_pair_system(512)
         sol = solve_bie(ks, gamma)
         assert sol.stats.coarse_n is None
         assert sol.stats.coarse_h_dev >= RESOLVED_H_DEV
-        monkeypatch.setattr(solver, "COARSE_START", 1024)  # no level tried
-        plain = solve_bie(ks, gamma)
+        # a judgement up to n/16 < COARSE_START tries no level
+        plain = solve_bie(ks, gamma, solver.resolving_level(ks, gamma, 32))
         assert plain.stats.coarse_n is None and plain.stats.coarse_h_dev is None
         assert np.array_equal(sol.rho, plain.rho)
         assert sol.stats.history == plain.stats.history
@@ -352,6 +357,44 @@ class TestTwoGrid:
         ks, gamma = four_slit_system(256)
         stats = solve_bie(ks, gamma).stats
         assert stats.coarse_n is None and stats.coarse_h_dev is None
+
+
+class TestResolvingLevel:
+    """``resolving_level`` is the one judge of whether a level resolves a
+    geometry, for the n-ladder's rungs and for the preconditioner."""
+
+    def test_first_resolving_level(self):
+        import stripcap.solver as solver
+
+        ks, gamma = four_slit_system(256)
+        nc, h_dev = solver.resolving_level(ks, gamma, 256)
+        assert nc == 64 and h_dev < 1e-6
+
+    def test_level_n_is_the_kernel_itself(self):
+        # the crowded pair at n=128 resolves at no level up to n; the last
+        # one tried is the kernel itself, whose direct solve reads the
+        # h_dev of the GMRES solve
+        import stripcap.solver as solver
+
+        ks, gamma = crowded_pair_system(128)
+        nc, h_dev = solver.resolving_level(ks, gamma, 128)
+        assert nc is None and h_dev >= RESOLVED_H_DEV
+        assert h_dev == pytest.approx(solve_bie(ks, gamma).h_dev.max(), rel=1e-9)
+
+    def test_nan_resolves_nothing(self, four_slit_512, monkeypatch):
+        # a NaN h_dev fails the threshold: the level that resolves with
+        # finite data leaves the solve plain when its check reads NaN
+        import stripcap.solver as solver
+
+        ks = KernelSet(four_slit_512.map.bp, four_slit_512.map.theta)
+        gamma = strip_gamma(ks.bp, four_slit_512.map.theta)
+        plain = solve_bie(ks, gamma, solver.resolving_level(ks, gamma, 32))
+        monkeypatch.setattr(solver, "trapezoid_M", lambda M1, x: np.full(x.shape, np.nan))
+        nc, h_dev = solver.resolving_level(ks, gamma, 512 // 8)
+        assert nc is None and np.isnan(h_dev)
+        sol = solve_bie(ks, gamma)
+        assert sol.stats.coarse_n is None and np.isnan(sol.stats.coarse_h_dev)
+        assert np.array_equal(sol.rho, plain.rho)
 
 
 class TestCauchyEval:
