@@ -41,7 +41,8 @@ SHAPES = {
     "study.values": NUMBERS,
     **dict.fromkeys(["study.count", "study.m", "study.seed"], INTEGER),
     **dict.fromkeys(["flow.nx", "flow.ny"], INTEGER),
-    **dict.fromkeys(["study.box_height", "flow.exclusion"], NUMBER),
+    "study.box_height": NUMBER,
+    "flow.exclusion": (lambda x: NUMBER[0](x) and 0 <= x < math.inf, "finite and >= 0"),
     **dict.fromkeys(["flow.x", "flow.y"], PAIR),
 }
 

@@ -143,14 +143,16 @@ def trig_derivative(samples):
 
 def _spectrum(samples):
     """Coefficients c and wavenumbers k of the trigonometric interpolant
-    sum_k c_k e^{ikt} of 2*pi-periodic samples on n equidistant nodes.
+    sum_k c_k e^{ikt} of one row of 2*pi-periodic samples on n equidistant nodes.
 
     The Nyquist mode is the cosine c_{n/2} cos((n/2) t), so real data stay
     real: half its coefficient sits at -n/2 and half at +n/2, and both
     arrays have n + 1 entries.
     """
-    samples = np.asarray(samples)
+    samples = as_array("samples", samples, complex)
     n = _node_count(samples)
+    if samples.ndim > 1:
+        raise ValueError(f"samples must be one row of nodes, not an array of shape {samples.shape}")
     c = np.fft.fft(samples) / n
     c[n // 2] *= 0.5
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -169,7 +171,8 @@ def resample(samples, n):
     Nyquist mode, so restricting after prolonging is the identity and
     prolongation agrees with ``trig_interp`` at the fine nodes.  Exact on
     trigonometric polynomials of degree below the smaller count's half;
-    real samples give real ones.
+    real samples give real ones.  No ``as_array``: per Krylov iteration, a
+    ValueError would replace the ConvergenceError that ``iterate`` catches.
     """
     samples = np.asarray(samples)
     n0 = _node_count(samples)
@@ -195,7 +198,7 @@ def trig_interp(samples, tq):
     Cost O(n) per query point; used for sub-grid refinement.
     """
     c, k = _spectrum(samples)
-    return np.exp(1j * np.outer(np.asarray(tq, dtype=float), k)) @ c
+    return np.exp(1j * np.outer(as_array("query points", tq, float), k)) @ c
 
 
 def trig_extrema(samples):
@@ -207,8 +210,8 @@ def trig_extrema(samples):
     O(h^4) bias in the extremum value, far above the preimage iteration's
     eps (1e-11 by default), hence the Newton polish.
     """
-    u = np.asarray(samples, dtype=float)
-    n = _node_count(u)
+    u = as_array("samples", samples, float)
+    n = u.size
     c, k = _spectrum(u)
     c1 = c * (1j * k)
     c2 = c1 * (1j * k)

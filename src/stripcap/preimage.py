@@ -23,8 +23,8 @@ from .geometry import (
     clearance_ratio,
 )
 from .kernels import KernelSet, dense_bytes
-from .solver import resolving_level
-from .stripmap import build_map, extract_slit_images, strip_gamma
+from .solver import resolves
+from .stripmap import build_map, extract_slit_images
 
 # n=128 resolves the four-slit and channel geometries (so does level 64)
 LADDER_START = 128
@@ -50,7 +50,7 @@ class IterationConfig:
 @dataclass(frozen=True)
 class LadderLevel:
     """One rung of the n-ladder: its node count, the outer steps it took and
-    the largest ``h_dev`` of its last solve, or of the judgement that found no level."""
+    the largest ``h_dev`` of its last solve (None when it solved nothing)."""
 
     n: int
     steps: int
@@ -68,13 +68,13 @@ class PreimageResult:
     geometry."""
 
     params: list
-    map: object
-    error_history: list
-    gmres_history: list
-    levels: list
-    converged: bool
     omega: object
     cfg: IterationConfig
+    map: object = None
+    error_history: list = field(default_factory=list)
+    gmres_history: list = field(default_factory=list)
+    levels: list = field(default_factory=list)
+    converged: bool = False
     _kernel: KernelSet = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -136,10 +136,10 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
     The run climbs the doubling ladder n0 = min(cfg.n, LADDER_START), 2 n0,
     ..., cfg.n, and each level starts from the parameters of the last
     resolved level below it, or from ``initialize`` while none has
-    resolved.  A coarse level that does not resolve the geometry (no level
-    up to its n resolves it, it misses eps, or it raises GeometryError or
-    ConvergenceError) hands nothing up.  ``max_iter`` caps each level, and
-    the top level alone decides ``converged``.
+    resolved.  A coarse level that does not resolve the geometry (its first
+    solve's largest h_dev fails ``resolves``, it misses eps, or it raises
+    GeometryError or ConvergenceError) hands nothing up.  ``max_iter`` caps
+    each level, and the top level alone decides ``converged``.
 
     ``progress``, when given, receives one dict per outer step (k counted
     over all levels, n, error, gmres_iters, coarse_n, elapsed_ms).  Returns
@@ -148,16 +148,7 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
     """
     _check_memory(omega.m, cfg.n)  # initialize already builds the boundary at cfg.n
     params = initialize(omega, cfg)
-    result = PreimageResult(
-        params=list(params),
-        map=None,
-        error_history=[],
-        gmres_history=[],
-        levels=[],
-        converged=False,
-        omega=omega,
-        cfg=cfg,
-    )
+    result = PreimageResult(params=list(params), omega=omega, cfg=cfg)
     start = params
     n = min(cfg.n, LADDER_START)
     while n < cfg.n:
@@ -176,8 +167,8 @@ def _run_level(result, params, n, progress, coarse=False):
     histories of ``result``; leaves the last solved parameters and map in
     it and the level in ``result.levels``, also when a step raises.
     Returns whether the level resolved (see ``iterate``).  Every step keeps
-    the level ``resolving_level`` judged on the first kernel, up to n (n/8
-    on the top level); a coarse level it finds none for takes no step.
+    the level its first solve judged (``solve_bie``); a coarse level whose
+    first solve does not resolve the geometry stops after that step.
     ``result`` keeps the kernel of its map, and the last step's kernel is
     dropped before the next is assembled.
     """
@@ -193,12 +184,8 @@ def _run_level(result, params, n, progress, coarse=False):
             # at most one kernel alive: the last step's goes before the next
             result._kernel = None
             ks = KernelSet(bp, omega.theta)
-            if level is None:  # the rung's one judgement
-                level = resolving_level(ks, strip_gamma(bp, omega.theta), n if coarse else n // 8)
-                if coarse and level[0] is None:
-                    h_dev = level[1]
-                    return False
             md = build_map(ks, level)
+            level = md.solution.stats.coarse_n, md.solution.stats.coarse_h_dev
             centers, lengths = extract_slit_images(md)
             result.params, result.map, result._kernel = list(params), md, ks
             del ks
@@ -221,6 +208,8 @@ def _run_level(result, params, n, progress, coarse=False):
                         "elapsed_ms": 1e3 * (time.perf_counter() - t0),
                     }
                 )
+            if coarse and steps == 1 and not resolves(h_dev):
+                return False
             if err < cfg.eps:
                 return True
             params = [

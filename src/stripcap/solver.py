@@ -14,7 +14,7 @@ KRYLOV_BUDGET = 400
 # the geometric middle of criterion 3's h_dev at n=128 (7.1e-5) and the
 # crowded pair's at every n <= 512 (1.5e-3 and above)
 RESOLVED_H_DEV = 3e-4
-# the coarsest level resolving_level tries; levels double up to its top
+# the coarsest level resolving_level tries; levels double up to n/8
 COARSE_START = 64
 
 
@@ -24,8 +24,8 @@ class SolverStats:
     right-hand side of a solve; ``residual`` is an array of k, one
     max|rhs - (I-N) rho| per right-hand side (k = 1 for a single one).
     ``coarse_n`` is the preconditioner's level (None without one) and
-    ``coarse_h_dev`` the ``h_dev`` ``resolving_level`` returned for it, on a
-    ladder rung the first kernel's (None when no level was tried)."""
+    ``coarse_h_dev`` its judgement's ``h_dev`` (None when no level was
+    tried), both as ``level`` gave them when the solve had one."""
 
     residual: np.ndarray
     history: list
@@ -124,37 +124,40 @@ def _coarse_I_minus_N(ks, nc):
     return A
 
 
-def resolving_level(ks, gamma, top):
+def resolves(h_dev):
+    """Whether a largest ``h_dev`` is below RESOLVED_H_DEV (a NaN never is)."""
+    return h_dev < RESOLVED_H_DEV
+
+
+def resolving_level(ks, gamma):
     """``(nc, h_dev)``: the first level nc = COARSE_START, 2 COARSE_START, ...
-    up to ``top`` whose direct solve for ``gamma`` sampled there has its
-    largest ``h_dev`` below RESOLVED_H_DEV (a NaN never has), and that h_dev;
-    else None and the last level's h_dev (None when none was tried).  The
-    copies of N and M1 at every (n/nc)-th node come from malloc's heap,
-    already resident, where ``_mapped`` ones raised flow's peak RSS by 1.6 MB."""
+    up to n/8 whose direct solve for ``gamma`` sampled there ``resolves``,
+    and its h_dev; else None and the last level's h_dev (None if none was
+    tried).  N and M1 at every (n/nc)-th node are copied to malloc's heap,
+    already resident: ``_mapped`` copies raised flow's peak RSS by 1.6 MB."""
     n, nc, h_dev = ks.bp.n, COARSE_START, None
-    while nc <= top:
+    while nc <= n // 8:
         step = n // nc
         A = _coarse_I_minus_N(ks, nc)
-        M1 = np.ascontiguousarray(ks.M1[::step, ::step])  # at nc = n, no copy
+        M1 = np.ascontiguousarray(ks.M1[::step, ::step])
         g = gamma[..., ::step]
         rows = g.reshape(-1, A.shape[0])
         rho = np.linalg.solve(A, -trapezoid_M(M1, g).reshape(rows.shape).T).T.reshape(g.shape)
         _, dev = _field_stats(trapezoid_M(M1, rho), (rows @ A.T).reshape(g.shape))
         del A, M1
         h_dev = float(dev.max())
-        if h_dev < RESOLVED_H_DEV:
+        if resolves(h_dev):
             return nc, h_dev
         nc *= 2
     return None, h_dev
 
 
 def _preconditioner(ks, shape, nc):
-    """``(apply, nc)``: the two-grid right preconditioner
-    M^-1 = I + P[(I - N_c)^-1 - I]R at level nc (R, P: ``resample``) on flat
-    Krylov vectors of data of ``shape``, each application a solve with
-    I - N_c; the identity and None for nc None or above n/8."""
-    if nc is None or nc > ks.bp.n // 8:
-        return (lambda z: z), None
+    """The two-grid right preconditioner M^-1 = I + P[(I - N_c)^-1 - I]R at
+    level nc (R, P: ``resample``) on flat Krylov vectors of data of ``shape``,
+    one I - N_c solve per application; the identity for nc None."""
+    if nc is None:
+        return lambda z: z
     A = _coarse_I_minus_N(ks, nc)
     coarse = shape[:-1] + (nc,)
 
@@ -163,7 +166,7 @@ def _preconditioner(ks, shape, nc):
         c = np.linalg.solve(A, c.T).T - c
         return z + resample(c.reshape(coarse), shape[-1]).reshape(-1)
 
-    return apply, nc
+    return apply
 
 
 def solve_bie(ks, gamma, level=None):
@@ -180,7 +183,7 @@ def solve_bie(ks, gamma, level=None):
 
     GMRES is right-preconditioned (``_preconditioner``) from the level that
     ``resolving_level`` finds for ``gamma`` up to n/8, or that ``level``
-    holds from an earlier kernel of the geometry: it solves
+    holds from an earlier solve's stats on the geometry: it solves
     (I - N) M^-1 y = rhs and rho = M^-1 y, so its residuals are those of rho.
     With no such level (always for n < 512) the solve is plain GMRES, bit
     for bit.  ``stats.coarse_n`` and ``stats.coarse_h_dev`` tell which ran.
@@ -214,8 +217,8 @@ def solve_bie(ks, gamma, level=None):
     exps[norms > 0, 0] = np.rint(np.log2(norms[norms > 0]))
     b = np.ldexp(rhs, -exps).reshape(-1)
 
-    coarse_n, coarse_h_dev = resolving_level(ks, gamma, ks.bp.n // 8) if level is None else level
-    precondition, coarse_n = _preconditioner(ks, gamma.shape, coarse_n)
+    coarse_n, coarse_h_dev = resolving_level(ks, gamma) if level is None else level
+    precondition = _preconditioner(ks, gamma.shape, coarse_n)
 
     def matvec(z):
         return ks.apply_I_minus_N(precondition(z).reshape(gamma.shape)).reshape(-1)

@@ -129,24 +129,47 @@ class TestChargeResolution:
     def test_one_judgement_per_rung_and_charge_solve(self, monkeypatch):
         # the ladder judges each rung once, not each step, and the charge
         # block judges its own data
-        import stripcap.preimage as preimage
         import stripcap.solver as solver
 
         calls = []
         judge = solver.resolving_level
 
-        def counted(ks, gamma, top):
+        def counted(ks, gamma):
             calls.append((ks.bp.n, gamma.ndim))
-            return judge(ks, gamma, top)
+            return judge(ks, gamma)
 
         monkeypatch.setattr(solver, "resolving_level", counted)
-        monkeypatch.setattr(preimage, "resolving_level", counted)
         x = 0.01
         dom = StripSlitDomain([SlitSpec(-x - 1j, -x + 1j), SlitSpec(x - 1j, x + 1j)])
         res = capacity(CondenserSpec(dom), IterationConfig(n=256, r=0.5 * x))
         assert [lv.n for lv in res.preimage.levels] == [128, 256]
         assert res.preimage.iterations > 2
         assert calls == [(128, 2), (256, 2), (256, 3)]
+
+    def test_no_direct_solve_above_n_over_8(self, monkeypatch):
+        # every LAPACK solve serves a coarse level of at most n/8 of the
+        # kernel it restricts, or the small charge system: the rungs' own
+        # systems at 128, 256 and 512 are GMRES's alone
+        import stripcap.solver as solver
+
+        orders, kernel_n = [], [None]
+        restrict, lapack = solver._coarse_I_minus_N, solver.np.linalg.solve
+
+        def restricted(ks, nc):
+            kernel_n[0] = ks.bp.n
+            return restrict(ks, nc)
+
+        def solve(a, b):
+            orders.append((kernel_n[0], a.shape[0]))
+            return lapack(a, b)
+
+        monkeypatch.setattr(solver, "_coarse_I_minus_N", restricted)
+        monkeypatch.setattr(solver.np.linalg, "solve", solve)
+        x = 0.01
+        dom = StripSlitDomain([SlitSpec(-x - 1j, -x + 1j), SlitSpec(x - 1j, x + 1j)])
+        res = capacity(CondenserSpec(dom), IterationConfig(n=512, r=0.5 * x))
+        assert [lv.n for lv in res.preimage.levels] == [128, 256, 512]
+        assert orders and all(order <= 3 * n // 8 for n, order in orders)
 
     def test_resolved_four_slits(self):
         res = capacity(CondenserSpec(StripSlitDomain(FOUR_SLITS)), IterationConfig(n=256))

@@ -14,6 +14,7 @@ import stripcap
 from stripcap.capacity import STUDY_FAMILIES, capacity_study, study_samples
 from stripcap.cli import ProblemFile, main
 from stripcap.preimage import IterationConfig
+from stripcap.solver import RESOLVED_H_DEV
 
 # absolute, so that a run from another working directory imports this package
 SRC = str(Path(stripcap.__file__).resolve().parents[1])
@@ -157,6 +158,23 @@ class TestCommands:
             64 if rec["n"] == 512 else None for rec in lines
         ]
 
+    def test_preimage_unresolved_coarse_rungs(self, tmp_path):
+        # the crowded pair: each coarse rung's first GMRES solve leaves h_dev
+        # above RESOLVED_H_DEV, so each takes that one step, with one
+        # progress line, and hands nothing up
+        crowded = {
+            "slits": [{"a": [x, -1.0], "b": [x, 1.0]} for x in (-0.01, 0.01)],
+            "numerics": {"r": 0.005},
+        }
+        path = write_problem(tmp_path, crowded)
+        proc = run_cli(["preimage", "--input", path, "--n", "512", "--max-iter", "2", "--progress"])
+        assert proc.returncode == 2, proc.stderr
+        levels = json.loads(proc.stdout)["levels"]
+        assert [(level["n"], level["steps"]) for level in levels] == [(128, 1), (256, 1), (512, 2)]
+        assert all(level["h_dev"] >= RESOLVED_H_DEV for level in levels[:-1])
+        lines = [json.loads(l) for l in proc.stderr.strip().splitlines() if l]
+        assert [rec["n"] for rec in lines] == [128, 256, 512, 512]
+
     def test_capacity_with_exact(self, tmp_path):
         path = write_problem(tmp_path, SMALL)
         proc = run_cli(["capacity", "--input", path, "--exact", "vertical:0.5"])
@@ -229,12 +247,23 @@ class TestCommands:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
 
-    def test_flow_negative_exclusion_exit_1(self, tmp_path):
+    def test_flow_negative_exclusion_exit_1(self, tmp_path, monkeypatch, capsys):
         payload = dict(SMALL, flow={"nx": 5, "ny": 5, "exclusion": -1})
         path = write_problem(tmp_path, payload)
         proc = run_cli(["flow", "--input", path, "--out", str(tmp_path / "f.csv")])
         assert proc.returncode == 1
         assert "exclusion must be finite and >= 0" in proc.stderr
+        # the range is checked where the file is parsed, for every command,
+        # before any solve
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the preimage iteration ran")
+
+        # the package's own ``capacity`` function shadows its module's name
+        for module in ("stripcap.cli", "stripcap.capacity"):
+            monkeypatch.setattr(importlib.import_module(module), "iterate", no_solve)
+        for command in ("flow", "capacity"):
+            assert main([command, "--input", path]) == 1
+            assert "flow.exclusion must be finite and >= 0, got -1" in capsys.readouterr().err
 
     def test_flow_malformed_grid(self, tmp_path):
         payload = dict(SMALL)

@@ -28,6 +28,24 @@ from stripcap.geometry import (
 # a direction whose slits' thetas round apart
 T04 = np.exp(0.4j)
 
+# 16 nodes of a 2 pi period, and complex samples on them
+T16 = 2 * np.pi * np.arange(16) / 16
+TURN16 = np.exp(1j * T16)
+
+# (call, samples, message): samples that trig_interp and trig_extrema reject
+# with a ValueError naming them, through as_array and the one-row rule
+BAD_SAMPLES = {
+    "trig_extrema-complex": (trig_extrema, TURN16, "^samples must hold real numbers"),
+    "trig_extrema-complex-list": (trig_extrema, list(TURN16), "^samples must hold real numbers"),
+    "trig_extrema-strings": (trig_extrema, ["a"] * 16, "^samples must hold real numbers"),
+    "trig_interp-strings": (lambda v: trig_interp(v, [0.5]), ["a"] * 16, "^samples must hold numbers"),
+    "trig_extrema-nan": (trig_extrema, np.full(16, np.nan), "^samples must be finite"),
+    "trig_interp-nan": (lambda v: trig_interp(v, [0.5]), np.full(16, np.nan), "^samples must be finite"),
+    "trig_extrema-2d": (trig_extrema, np.ones((2, 16)), "^samples must be one row of nodes"),
+    "trig_interp-2d": (lambda v: trig_interp(v, [0.5]), np.ones((2, 16)), "^samples must be one row"),
+    "trig_interp-nan-query": (lambda v: trig_interp(v, [np.nan]), TURN16, "^query points must be finite"),
+}
+
 # absolute, so that a child process imports this package
 SRC = str(Path(sc.__file__).resolve().parents[1])
 
@@ -130,6 +148,12 @@ class TestTrigTools:
         # a scalar has no node axis: a named ValueError, not an IndexError
         with pytest.raises(ValueError, match="samples must be an array along the nodes"):
             call(value)
+
+    @pytest.mark.parametrize("call, samples, message", BAD_SAMPLES.values(), ids=BAD_SAMPLES)
+    def test_bad_samples_named(self, call, samples, message):
+        # no ComplexWarning, numpy message, IndexError or NaN result
+        with pytest.raises(ValueError, match=message):
+            call(samples)
 
     def test_derivative_matches_interpolant_at_nodes(self):
         # trig_derivative zeroes the Nyquist mode, and the derivative of the

@@ -187,43 +187,49 @@ class TestLadder:
         monkeypatch.setattr(preimage, "build_map", failing)
 
     def test_unresolved_level_hands_up_nothing(self, monkeypatch):
-        # the crowded pair: no level up to n=128 resolves the 0.02 gap, so
-        # that rung ends on its judgement with no Krylov iteration, and
-        # n=256, with no resolved level below it, runs as a cold one
-        import stripcap.solver as solver
+        # the crowded pair: the n=128 rung's first solve leaves h_dev above
+        # RESOLVED_H_DEV, so that rung stops after its one step, and n=256,
+        # with no resolved level below it, runs as a cold one
+        import stripcap.stripmap as stripmap
 
-        passes = {}
-        gmres_pass = solver._gmres_pass
+        solves = {}
+        solve_bie = stripmap.solve_bie
 
-        def counted(matvec, b, *args):
-            passes[b.size // 3] = passes.get(b.size // 3, 0) + 1
-            return gmres_pass(matvec, b, *args)
+        def counted(ks, *args):
+            solves[ks.bp.n] = solves.get(ks.bp.n, 0) + 1
+            return solve_bie(ks, *args)
 
-        monkeypatch.setattr(solver, "_gmres_pass", counted)
+        monkeypatch.setattr(stripmap, "solve_bie", counted)
         omega = StripSlitDomain(
             [SlitSpec(-0.01 - 1j, -0.01 + 1j), SlitSpec(0.01 - 1j, 0.01 + 1j)]
         )
         cfg = IterationConfig(n=256, r=0.005, eps=1e-11, max_iter=2)
         res = iterate(omega, cfg)
         first, top = res.levels
-        assert (first.n, first.steps) == (128, 0)
+        assert (first.n, first.steps) == (128, 1)
         assert first.h_dev >= RESOLVED_H_DEV
         assert (top.n, top.steps) == (256, 2)
-        assert set(passes) == {256}
+        assert solves == {128: 1, 256: 2}
         monkeypatch.setattr(preimage, "LADDER_START", cfg.n)
         cold = iterate(omega, cfg)
-        assert res.error_history == cold.error_history
-        assert res.gmres_history == cold.gmres_history
+        assert res.error_history[1:] == cold.error_history
+        assert res.gmres_history[1:] == cold.gmres_history
 
     def test_nan_judgement_leaves_a_rung_unresolved(self, monkeypatch):
-        # a NaN h_dev resolves no level: the four-slit rung at n=128, which
-        # level 64 resolves with finite data, then hands nothing up
+        # a NaN h_dev resolves nothing: the four-slit rung at n=128, whose
+        # first solve resolves with finite data, then hands nothing up
         import stripcap.solver as solver
 
-        monkeypatch.setattr(solver, "trapezoid_M", lambda M1, x: np.full(x.shape, np.nan))
+        field_stats = solver._field_stats
+
+        def nan_at_128(m_rho, n_gamma):
+            h, h_dev = field_stats(m_rho, n_gamma)
+            return h, np.full_like(h_dev, np.nan) if m_rho.shape[-1] == 128 else h_dev
+
+        monkeypatch.setattr(solver, "_field_stats", nan_at_128)
         res = iterate(StripSlitDomain(FOUR_SLITS), IterationConfig(n=256))
         first, top = res.levels
-        assert (first.n, first.steps) == (128, 0) and np.isnan(first.h_dev)
+        assert (first.n, first.steps) == (128, 1) and np.isnan(first.h_dev)
         assert top.n == 256 and res.converged
 
     def test_failing_level_hands_up_nothing(self, monkeypatch):

@@ -305,8 +305,7 @@ class TestTwoGrid:
         alphas = np.array([geometry.psi_inv(p.z) for p in four_slit_512.params])
         gamma = np.log(np.abs(ks.bp.eta - alphas[:, None, None]))
         pre = solve_bie(ks, gamma)
-        # a judgement up to n/16 < COARSE_START tries no level
-        plain = solve_bie(ks, gamma, solver.resolving_level(ks, gamma, 32))
+        plain = solve_bie(ks, gamma, (None, None))
         assert pre.stats.coarse_n == 64 and plain.stats.coarse_n is None
         for a, b in ((pre.rho, plain.rho), (pre.h, plain.h)):
             assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
@@ -319,9 +318,9 @@ class TestTwoGrid:
 
         ks = KernelSet(four_slit_512.map.bp, four_slit_512.map.theta)
         gamma = strip_gamma(ks.bp, four_slit_512.map.theta)
-        nc, _ = solver.resolving_level(ks, gamma, 512 // 8)
+        nc, _ = solver.resolving_level(ks, gamma)
         assert nc == 64
-        precondition, _ = solver._preconditioner(ks, gamma.shape, nc)
+        precondition = solver._preconditioner(ks, gamma.shape, nc)
         rhs = -ks.apply_M(gamma).reshape(-1)
         op = linalg.LinearOperator(
             ks.N.shape, dtype=float,
@@ -341,14 +340,11 @@ class TestTwoGrid:
     def test_unresolved_coarse_level_leaves_plain_gmres(self):
         # the crowded pair at n=512: the n=64 check misses RESOLVED_H_DEV, so
         # the solve is plain GMRES, bit for bit
-        import stripcap.solver as solver
-
         ks, gamma = crowded_pair_system(512)
         sol = solve_bie(ks, gamma)
         assert sol.stats.coarse_n is None
         assert sol.stats.coarse_h_dev >= RESOLVED_H_DEV
-        # a judgement up to n/16 < COARSE_START tries no level
-        plain = solve_bie(ks, gamma, solver.resolving_level(ks, gamma, 32))
+        plain = solve_bie(ks, gamma, (None, None))
         assert plain.stats.coarse_n is None and plain.stats.coarse_h_dev is None
         assert np.array_equal(sol.rho, plain.rho)
         assert sol.stats.history == plain.stats.history
@@ -360,26 +356,31 @@ class TestTwoGrid:
 
 
 class TestResolvingLevel:
-    """``resolving_level`` is the one judge of whether a level resolves a
-    geometry, for the n-ladder's rungs and for the preconditioner."""
+    """``resolving_level`` is ``solve_bie``'s judge of the coarse level that
+    resolves a geometry; it tries no level above n/8."""
 
     def test_first_resolving_level(self):
         import stripcap.solver as solver
 
-        ks, gamma = four_slit_system(256)
-        nc, h_dev = solver.resolving_level(ks, gamma, 256)
+        ks, gamma = four_slit_system(512)
+        nc, h_dev = solver.resolving_level(ks, gamma)
         assert nc == 64 and h_dev < 1e-6
 
-    def test_level_n_is_the_kernel_itself(self):
-        # the crowded pair at n=128 resolves at no level up to n; the last
-        # one tried is the kernel itself, whose direct solve reads the
-        # h_dev of the GMRES solve
+    def test_no_level_above_n_over_8(self, monkeypatch):
+        # the crowded pair at n=512 resolves at no level up to n/8 = 64,
+        # the one level tried; n=256 tries none
         import stripcap.solver as solver
 
-        ks, gamma = crowded_pair_system(128)
-        nc, h_dev = solver.resolving_level(ks, gamma, 128)
-        assert nc is None and h_dev >= RESOLVED_H_DEV
-        assert h_dev == pytest.approx(solve_bie(ks, gamma).h_dev.max(), rel=1e-9)
+        tried = []
+        restrict = solver._coarse_I_minus_N
+        monkeypatch.setattr(
+            solver, "_coarse_I_minus_N", lambda ks, nc: tried.append(nc) or restrict(ks, nc)
+        )
+        ks, gamma = crowded_pair_system(512)
+        nc, h_dev = solver.resolving_level(ks, gamma)
+        assert nc is None and h_dev >= RESOLVED_H_DEV and tried == [64]
+        ks, gamma = crowded_pair_system(256)
+        assert solver.resolving_level(ks, gamma) == (None, None) and tried == [64]
 
     def test_nan_resolves_nothing(self, four_slit_512, monkeypatch):
         # a NaN h_dev fails the threshold: the level that resolves with
@@ -388,9 +389,9 @@ class TestResolvingLevel:
 
         ks = KernelSet(four_slit_512.map.bp, four_slit_512.map.theta)
         gamma = strip_gamma(ks.bp, four_slit_512.map.theta)
-        plain = solve_bie(ks, gamma, solver.resolving_level(ks, gamma, 32))
+        plain = solve_bie(ks, gamma, (None, None))
         monkeypatch.setattr(solver, "trapezoid_M", lambda M1, x: np.full(x.shape, np.nan))
-        nc, h_dev = solver.resolving_level(ks, gamma, 512 // 8)
+        nc, h_dev = solver.resolving_level(ks, gamma)
         assert nc is None and np.isnan(h_dev)
         sol = solve_bie(ks, gamma)
         assert sol.stats.coarse_n is None and np.isnan(sol.stats.coarse_h_dev)
