@@ -78,12 +78,16 @@ class CondenserSpec:
 
     def __post_init__(self):
         delta = (1.0,) * self.domain.m if self.delta is None else self.delta
-        if np.ndim(delta) != 1:
+        try:
+            flat = np.ndim(delta) == 1
+        except ValueError:  # numpy's message for a ragged sequence names nothing
+            flat = False
+        if not flat:
             raise ValueError(f"delta must be a sequence of potential levels, got {delta!r}")
         delta = tuple(as_real(f"potential level delta[{i}]", d) for i, d in enumerate(delta))
         if len(delta) != self.domain.m:
             raise ValueError(
-                f"need {self.domain.m} potential levels, got {len(delta)}"
+                f"delta must hold one potential level per slit, {self.domain.m}, got {len(delta)}"
             )
         object.__setattr__(self, "delta", delta)
 
@@ -201,10 +205,15 @@ def capacity_study(samples):
 
 
 def _sweep(layout):
-    """A family swept over ``values``: the sample (p, layout(p)) per value p."""
-    return lambda values: [
-        (p, layout(as_real(f"study.values[{i}]", p))) for i, p in enumerate(values)
-    ]
+    """A family swept over ``values``, a sequence: the sample (p, layout(p))
+    per value p."""
+
+    def samples(values):
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            raise ValueError(f"study.values must be a list of numbers, got {values!r}")
+        return [(p, layout(as_real(f"study.values[{i}]", p))) for i, p in enumerate(values)]
+
+    return samples
 
 
 def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
@@ -251,11 +260,13 @@ def study_samples(study, cfg):
     """Every (param, CondenserSpec, IterationConfig) sample of a ``study``
     section, built before any solve, its r capped by ``clearance_ratio``.
     ``family`` names a ``STUDY_FAMILIES`` builder, the other keys are its
-    parameters; an unknown family, a missing, stray or bad parameter or an
-    invalid geometry raises here, so a sweep never stops midway."""
+    parameters.  An unknown family, a missing, stray or bad parameter or an
+    invalid geometry raises here, so a sweep never stops midway: ValueError
+    naming the study entry, or the geometry's own error prefixed with the
+    sample's parameter ("study sample 0: ...")."""
     keys = dict(study)
     family = keys.pop("family", None)
-    builder = STUDY_FAMILIES.get(family)
+    builder = STUDY_FAMILIES.get(family) if isinstance(family, str) else None
     if builder is None:
         known = ", ".join(STUDY_FAMILIES)
         raise ValueError(f"study.family must be one of {known}; got {family!r}")
@@ -265,8 +276,10 @@ def study_samples(study, cfg):
         signature.bind(**keys)
     except TypeError as exc:
         raise ValueError(f"study family {family}{signature}: {exc}") from None
-    specs = [
-        (p, CondenserSpec(StripSlitDomain([SlitSpec(a, b) for a, b in slits])))
-        for p, slits in builder(**keys)
-    ]
+    specs = []
+    for p, slits in builder(**keys):
+        try:
+            specs.append((p, CondenserSpec(StripSlitDomain([SlitSpec(a, b) for a, b in slits]))))
+        except (StripcapError, ValueError) as exc:
+            raise type(exc)(f"study sample {p!r}: {exc}") from None
     return [(p, s, replace(cfg, r=min(cfg.r, clearance_ratio(s.domain)))) for p, s in specs]

@@ -23,43 +23,38 @@ from .capacity import (
 )
 from .errors import ConvergenceError, StripcapError
 from .flow import GridSpec, horizontal_slit_map, stream_grid
-from .geometry import HALF_PI, StripSlitDomain
+from .geometry import HALF_PI, StripSlitDomain, as_real
 from .preimage import IterationConfig, iterate
 
 
-# the shape of every known entry of a problem file, sections first; the
-# checks are on the types json.load gives
+# the JSON shapes that must hold before an entry can be unpacked; the record
+# built from each entry checks everything else
 OBJECT = (lambda x: isinstance(x, dict), "an object")
-INTEGER = (lambda x: type(x) is int, "an integer")
-NUMBER = (lambda x: type(x) in (int, float), "a number")
-NUMBERS = (lambda x: isinstance(x, list) and all(map(NUMBER[0], x)), "a list of numbers")
-PAIR = (lambda x: NUMBERS[0](x) and len(x) == 2, "a pair of numbers")
+PAIR = (lambda x: isinstance(x, list) and len(x) == 2, "a pair [min, max]")
 SHAPES = {
     **dict.fromkeys(["numerics", "study", "flow"], OBJECT),
-    "delta": NUMBERS,
-    "study.family": (lambda x: isinstance(x, str), "a string"),
-    "study.values": NUMBERS,
-    **dict.fromkeys(["study.count", "study.m", "study.seed"], INTEGER),
-    **dict.fromkeys(["flow.nx", "flow.ny"], INTEGER),
-    "study.box_height": NUMBER,
-    "flow.exclusion": (lambda x: NUMBER[0](x) and 0 <= x < math.inf, "finite and >= 0"),
     **dict.fromkeys(["flow.x", "flow.y"], PAIR),
 }
+# the flow grid of a file that does not set it
+FLOW_GRID = {"x": [-6.0, 6.0], "y": [-1.5, 1.5], "nx": 200, "ny": 100}
 
 
 @dataclass
 class ProblemFile:
-    """Parsed problem description."""
+    """A problem file, each entry checked by the library record built from
+    it: ``spec``, ``grid``, ``exclusion``, and ``config``'s IterationConfig.
+    ``study`` stays raw: its samples take the resolved numerics (``run``)."""
 
-    domain: StripSlitDomain
-    delta: list = None
+    spec: CondenserSpec
+    grid: GridSpec
+    delta_given: bool = False
+    exclusion: float = None  # None: stream_grid's default
     numerics: dict = field(default_factory=dict)
     study: dict = None
-    flow: dict = None
 
     @classmethod
     def parse(cls, data):
-        """Check the shape of every section, then build the domain."""
+        """Check the JSON shapes and the known keys, then build the records."""
         slits = data.get("slits") if isinstance(data, dict) else None
         if not isinstance(slits, list) or not slits:
             raise ValueError("problem file needs a non-empty 'slits' list")
@@ -69,24 +64,27 @@ class ProblemFile:
             where = data.get(outer[0], {}) if outer else data
             if key in where and not valid(where[key]):
                 raise ValueError(f"{path} must be {shape}, got {where[key]!r}")
-        numerics = dict(data.get("numerics", {}))
-        # the known top-level and flow keys are those of SHAPES; study's keys
-        # are checked against its family builder's signature
-        flow_keys = {path.removeprefix("flow.") for path in SHAPES if path.startswith("flow.")}
+        numerics, flow = dict(data.get("numerics", {})), data.get("flow", {})
+        # study's keys are checked against its family builder's signature
         for section, entries, known in (
-            ("top-level", data, {"slits", *(path for path in SHAPES if "." not in path)}),
-            ("flow", data.get("flow", {}), flow_keys),
+            ("top-level", data, {"slits", "delta", "numerics", "study", "flow"}),
+            *((f"slits[{i}]", entry, {"a", "b"}) for i, entry in enumerate(slits)),
+            ("flow", flow, {"x", "y", "nx", "ny", "exclusion"}),
             ("numerics", numerics, {f.name for f in fields(IterationConfig)}),
         ):
             unknown = set(entries) - known
             if unknown:
                 raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+        grid = {**FLOW_GRID, **flow}
         return cls(
-            domain=domain,
-            delta=data.get("delta"),
+            spec=CondenserSpec(domain, data.get("delta")),
+            grid=GridSpec(*grid["x"], *grid["y"], grid["nx"], grid["ny"]),
+            delta_given=data.get("delta") is not None,
+            exclusion=(
+                as_real("flow.exclusion", flow["exclusion"], 0.0) if "exclusion" in flow else None
+            ),
             numerics=numerics,
             study=data.get("study"),
-            flow=data.get("flow"),
         )
 
     @classmethod
@@ -139,7 +137,7 @@ def _run_record(pre):
 
 def cmd_preimage(args, problem, cfg):
     lines = (lambda rec: _note(json.dumps(rec, sort_keys=True))) if args.progress else None
-    result = iterate(problem.domain, cfg, progress=lines)
+    result = iterate(problem.spec.domain, cfg, progress=lines)
     payload = {
         **_run_record(result),
         "ellipses": [
@@ -169,10 +167,9 @@ def _parse_exact(text):
 
 
 def cmd_capacity(args, problem, cfg):
-    spec = CondenserSpec(problem.domain, problem.delta)
-    if problem.delta is None:
-        _note(f"# delta not given; defaulting to all ones (m={problem.domain.m})")
-    res = capacity(spec, cfg)
+    if not problem.delta_given:
+        _note(f"# delta not given; defaulting to all ones (m={problem.spec.domain.m})")
+    res = capacity(problem.spec, cfg)
     _note(f"cap = {res.cap:.15g}")
     payload = {
         **_run_record(res.preimage),
@@ -180,7 +177,7 @@ def cmd_capacity(args, problem, cfg):
         "a": list(res.a),
         "c": res.c,
         "charge_h_dev": res.charge_h_dev.tolist(),
-        "delta": list(spec.delta),
+        "delta": list(problem.spec.delta),
     }
     if args.exact:
         ref = _parse_exact(args.exact)
@@ -194,13 +191,10 @@ def cmd_capacity(args, problem, cfg):
 
 
 def cmd_flow(args, problem, cfg):
-    spec = problem.flow or {}
-    x_min, x_max = spec.get("x", [-6.0, 6.0])
-    y_min, y_max = spec.get("y", [-1.5, 1.5])
-    grid = GridSpec(x_min, x_max, y_min, y_max, spec.get("nx", 200), spec.get("ny", 100))
+    grid = problem.grid
     # stream_grid owns the default exclusion distance
-    options = {"exclusion": spec["exclusion"]} if "exclusion" in spec else {}
-    pre = iterate(problem.domain, cfg)
+    options = {} if problem.exclusion is None else {"exclusion": problem.exclusion}
+    pre = iterate(problem.spec.domain, cfg)
     upsilon = horizontal_slit_map(pre)
     out_field = stream_grid(pre, upsilon, grid, **options)
     psi = [
@@ -243,11 +237,8 @@ def cmd_exact(args):
     return 0
 
 
-def cmd_study(args, problem, cfg):
-    study = dict(problem.study or {})
-    if args.seed is not None:
-        study["seed"] = args.seed
-    table = capacity_study(study_samples(study, cfg))
+def cmd_study(args, samples):
+    table = capacity_study(samples)
     for p in table:
         if not p.converged:
             _note(f"warning: param {p.param!r}: {p.error}")
@@ -305,25 +296,29 @@ def build_parser():
 
     p = sub.add_parser("exact", help="evaluate an exact capacity formula")
     p.add_argument("formula", help="vertical:S or horizontal:S")
-    p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("study", help="run a capacity parameter sweep")
     common(p)
     p.add_argument("--seed", type=int, help="RNG seed for random families")
-    p.set_defaults(func=cmd_study)
     return parser
 
 
 def run(args):
-    """Load the problem and resolve its numerics, then run the subcommand."""
+    """Load the problem, resolve its numerics and build any study samples, so
+    every entry is checked before any output or solve; then run the command."""
     if args.command == "exact":
         return cmd_exact(args)
     problem = ProblemFile.load(args.input)
     overrides = {k: getattr(args, k) for k in ("n", "r", "eps", "max_iter")}
     cfg = problem.config(overrides)
+    if problem.study is not None or args.command == "study":
+        seed = {} if getattr(args, "seed", None) is None else {"seed": args.seed}
+        samples = study_samples({**(problem.study or {}), **seed}, cfg)
     if args.emit_config:
         _write(args.out, json.dumps(asdict(cfg), sort_keys=True) + "\n")
         return 0
+    if args.command == "study":
+        return cmd_study(args, samples)
     return args.func(args, problem, cfg)
 
 

@@ -15,7 +15,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import GeometryError, OverlapError
+from .errors import GeometryError, MemoryLimitError, OverlapError
 
 HALF_PI = 0.5 * np.pi
 
@@ -89,6 +89,18 @@ def as_real(name, value, lo=-np.inf, hi=np.inf, lo_open=False, hi_open=False):
     if hi < np.inf:
         want = f"in {'(' if lo_open else '['}{lo:.17g}, {hi:.17g}{')' if hi_open else ']'}"
     raise ValueError(f"{name} must be {want}, got {value!r}")
+
+
+def check_memory(what, need, remedy):
+    """The one memory rule: raise MemoryLimitError when ``what`` needs more
+    than the machine's physical memory, ``need`` bytes, before any of it is
+    allocated; the message names ``what`` and ends with ``remedy``."""
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryLimitError(
+            f"{what} need {need} bytes, more than the {have} bytes of "
+            f"physical memory; {remedy}"
+        )
 
 
 def psi(w):

@@ -7,19 +7,19 @@ All ellipses update simultaneously, with no damping.  The per-iteration
 error is the mean mismatch of centers and lengths against the targets.
 """
 
-import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, GeometryError, MemoryLimitError, OverlapError
+from .errors import ConvergenceError, GeometryError, OverlapError
 from .geometry import (
     EllipseParams,
     _check_pow2,
     as_int,
     as_real,
     build_preimage_boundary,
+    check_memory,
     clearance_ratio,
 )
 from .kernels import KernelSet, dense_bytes
@@ -99,18 +99,6 @@ class PreimageResult:
             )
 
 
-def _check_memory(m, n):
-    """Raise MemoryLimitError when the dense N and M1 for m holes at n nodes
-    per component exceed the machine's physical memory."""
-    need = dense_bytes(m, n)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise MemoryLimitError(
-            f"kernels for n={n}, m={m} need {need} bytes, more than the "
-            f"{have} bytes of physical memory; choose a smaller n"
-        )
-
-
 def initialize(omega, cfg):
     """Thin ellipses on the slits: center c_j, major axis (1 - r/2) ell_j.
     An r too large for the slits raises OverlapError, which names
@@ -146,7 +134,10 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
     the full history whether or not the tolerance was met.  A cfg.n whose
     kernels cannot fit in physical memory raises MemoryLimitError first.
     """
-    _check_memory(omega.m, cfg.n)  # initialize already builds the boundary at cfg.n
+    # before initialize, which already builds the boundary at cfg.n; the
+    # dense N and M1 of m holes at n nodes per component
+    need = dense_bytes(omega.m, cfg.n)
+    check_memory(f"kernels for n={cfg.n}, m={omega.m}", need, "choose a smaller n")
     params = initialize(omega, cfg)
     result = PreimageResult(params=list(params), omega=omega, cfg=cfg)
     start = params

@@ -297,12 +297,18 @@ def cauchy_eval(bnodes, bder, bvalues, points):
     normalized form reproduces constants exactly and sharpens accuracy near
     the boundary.  Points near the boundary are not refined.
 
-    Raises ValueError for a non-finite point or boundary entry and
-    GeometryError when a point sits on the boundary (within 1e-13).
+    Raises ValueError for a non-finite point or boundary entry or boundary
+    arrays of different sizes, and GeometryError when a point sits on the
+    boundary (within 1e-13).
     """
     bnodes = as_array("bnodes", bnodes, complex).reshape(-1)
     bder = as_array("bder", bder, complex).reshape(-1)
     bvalues = as_array("bvalues", bvalues, complex).reshape(-1)
+    if not bnodes.size == bder.size == bvalues.size:
+        raise ValueError(
+            f"bnodes, bder and bvalues must have one size, got "
+            f"{bnodes.size}, {bder.size} and {bvalues.size}"
+        )
     pts, shaped = as_points(points)
     num, den, dmin = cauchy_sums(bnodes, bder, bvalues, pts)
     if (dmin < 1e-13).any():

@@ -443,11 +443,15 @@ class TestCommands:
                 {"study": {"family": "two_vertical", "values": 5}},
                 id="study-values-int",
             ),
+            # with a family, so that the seed is the first entry checked
             pytest.param(
-                "study.seed must be", {"study": {"seed": [1]}}, id="study-seed-list"
+                "study.seed must be",
+                {"study": {"family": "random_horizontal", "seed": [1]}},
+                id="study-seed-list",
             ),
             pytest.param("flow must be", {"flow": [1, 2]}, id="flow-list"),
-            pytest.param("flow.nx must be", {"flow": {"nx": "ten"}}, id="flow-nx-string"),
+            # GridSpec's own message, which names its field
+            pytest.param("nx must be", {"flow": {"nx": "ten"}}, id="flow-nx-string"),
             pytest.param("delta must be", {"delta": 5}, id="delta-int"),
             pytest.param(
                 "slits[0] must be", {"slits": [{"a": 1, "b": [1, 0]}]}, id="slit-a-int"
@@ -474,6 +478,11 @@ class TestCommands:
                 {"flow": {"exlusion": 0.3}},
                 id="flow-exclusion-misspelt",
             ),
+            pytest.param(
+                "unknown slits[0] keys: ['delta']",
+                {"slits": [{"a": [0, -0.5], "b": [0, 0.5], "delta": 2.0}]},
+                id="slit-key-unknown",
+            ),
         ],
     )
     def test_bad_numerics_exit_1(self, tmp_path, message, section):
@@ -483,6 +492,54 @@ class TestCommands:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {message}")
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    # one file per bad entry: (entries over SMALL, what its error names)
+    BAD_ENTRIES = {
+        "delta-length": ({"delta": [1.0, 2.0]}, "delta must hold one potential level per slit"),
+        "delta-entry": ({"delta": ["one"]}, "delta[0] must be"),
+        "nx-1": ({"flow": {"nx": 1}}, "nx must be an int >= 2"),
+        "x-reversed": ({"flow": {"x": [6, -6]}}, "x_min 6.0 is not below x_max -6.0"),
+        "bound-non-finite": ({"flow": {"y": [-1, float("inf")]}}, "y_max must be a finite"),
+        "exclusion-negative": ({"flow": {"exclusion": -1}}, "flow.exclusion must be"),
+        "study-family": (
+            {"study": {"family": "three_vertical", "values": [1.0]}}, "study.family must be"
+        ),
+        "study-overlap": (
+            {"study": {"family": "two_vertical", "values": [0]}}, "study sample 0: slits 0 and 1"
+        ),
+        "study-seed-list": (
+            {"study": {"family": "random_horizontal", "seed": [1]}}, "study.seed must be"
+        ),
+        "slit-key": (
+            {"slits": [{"a": [0, -0.5], "b": [0, 0.5], "delta": 2.0}]},
+            "unknown slits[0] keys: ['delta']",
+        ),
+    }
+    COMMANDS = {
+        "preimage": ["preimage"],
+        "capacity": ["capacity"],
+        "flow": ["flow"],
+        "study": ["study"],
+        "emit-config": ["capacity", "--emit-config"],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    def test_every_command_rejects_a_bad_entry(self, tmp_path, monkeypatch, capsys, case, command):
+        # the record built from each entry checks it when the file is read,
+        # whatever the command, so nothing is solved or written
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the preimage iteration ran")
+
+        for module in ("stripcap.cli", "stripcap.capacity"):
+            monkeypatch.setattr(importlib.import_module(module), "iterate", no_solve)
+        entries, message = self.BAD_ENTRIES[case]
+        path = write_problem(tmp_path, {**SMALL, **entries})
+        assert main([*self.COMMANDS[command], "--input", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
 
     def test_flow_non_finite_bound_exit_1(self, tmp_path):
         # Python's json module writes and reads -Infinity

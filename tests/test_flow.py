@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import stripcap.flow as flowmod
-from stripcap.errors import ConvergenceError
+from stripcap.errors import ConvergenceError, MemoryLimitError
 from stripcap.geometry import SlitSpec, StripSlitDomain
 from stripcap.preimage import IterationConfig, iterate
 from stripcap.flow import (
@@ -175,8 +175,16 @@ class TestStreamGrid:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             GridSpec(-1.0, 1.0, -1.0, 1.0, 1, 5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^empty grid range: x_min 1.0 is not below x_max -1"):
             GridSpec(1.0, -1.0, -1.0, 1.0, 5, 5)
+        with pytest.raises(ValueError, match="^empty grid range: y_min 1.0 is not below y_max 1"):
+            GridSpec(-1.0, 1.0, 1.0, 1.0, 5, 5)
+
+    def test_oversized_grid_refused(self):
+        # 10^12 points, refused by the record itself, so before any array
+        # of stream_grid's exists
+        with pytest.raises(MemoryLimitError, match="^the 1000000 x 1000000 points of a flow grid"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, 10**6, 10**6)
 
     @pytest.mark.parametrize("name", ["nx", "ny"])
     @pytest.mark.parametrize("value", [5.5, 5.0, "5", None, True, 1])

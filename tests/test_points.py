@@ -120,6 +120,11 @@ BAD_INPUT = {
         sc.GeometryError,
         r"^ellipse z must be a number, not an array of shape \(1,\)",
     ),
+    "cauchy_eval-sizes-differ": (
+        lambda ctx: cauchy_eval([1, 2], [1], [1, 2], 0.0),
+        ValueError,
+        "^bnodes, bder and bvalues must have one size, got 2, 1 and 2$",
+    ),
     "as_array-ragged": (
         lambda ctx: as_array("eta", [[1, 2], [3]], complex),
         ValueError,

@@ -172,7 +172,11 @@ def test_int_beyond_the_doubles_names_its_field(ctx, site, value):
         call(ctx, value)
 
 
-@pytest.mark.parametrize("delta", [5, 2.0, "12", [[1.0, 2.0]]], ids=["int", "float", "str", "2-D"])
+@pytest.mark.parametrize(
+    "delta",
+    [5, 2.0, "12", [[1.0, 2.0]], [1.0, [2.0]]],
+    ids=["int", "float", "str", "2-D", "ragged"],
+)
 def test_delta_not_one_dimensional_names_delta(ctx, delta):
     with pytest.raises(ValueError, match=r"^delta must be a sequence of potential levels"):
         sc.CondenserSpec(ctx["two_slits"], delta)
