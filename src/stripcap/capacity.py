@@ -227,18 +227,19 @@ def _random_horizontal(count=10, m=10, seed=0, box_height=0.0):
     ell = 2.0 / m
     layouts = []
     for trial in range(count):
-        slits = []
-        attempts = 0
-        while len(slits) < m:
+        ends = np.empty((2, m), dtype=complex)  # the placed slits' a and b
+        placed = attempts = 0
+        while placed < m:
             attempts += 1
             if attempts > 100000:
                 raise GeometryError("rejection sampling failed to place slits")
             cx = rng.uniform(-4.0, 4.0)
             cy = rng.uniform(-box_height, box_height) if box_height > 0 else 0.0
             a, b = complex(cx - 0.5 * ell, cy), complex(cx + 0.5 * ell, cy)
-            if all(segment_distance(a, b, *slit) >= 1e-3 for slit in slits):
-                slits.append((a, b))
-        layouts.append((trial, slits))
+            if np.all(segment_distance(a, b, *ends[:, :placed]) >= 1e-3):
+                ends[:, placed] = a, b
+                placed += 1
+        layouts.append((trial, [(complex(a), complex(b)) for a, b in ends.T]))
     return layouts
 
 

@@ -316,15 +316,22 @@ def segments_cross(p0, p1, q0, q1):
 
 
 def segment_distance(p0, p1, q0, q1):
-    """Exact minimum distance between segments [p0,p1] and [q0,q1] in C."""
-    if segments_cross(p0, p1, q0, q1):
-        return 0.0
-    return float(
-        min(
-            point_segment_distance([q0, q1], p0, p1).min(),
-            point_segment_distance([p0, p1], q0, q1).min(),
-        )
+    """Exact minimum distance between segments [p0,p1] and [q0,q1] in C;
+    broadcasts over arrays of segments, as ``segments_cross`` does."""
+    ends = np.minimum(
+        np.minimum(point_segment_distance(q0, p0, p1), point_segment_distance(q1, p0, p1)),
+        np.minimum(point_segment_distance(p0, q0, q1), point_segment_distance(p1, q0, q1)),
     )
+    return np.where(segments_cross(p0, p1, q0, q1), 0.0, ends)[()]
+
+
+def _pairs(slits):
+    """Endpoints a, b of every pair i < j of ``slits``, in row-major order:
+    (i, j, a_i, b_i, a_j, b_j), the last four as arrays."""
+    a = np.array([s.a for s in slits])
+    b = np.array([s.b for s in slits])
+    i, j = np.triu_indices(len(slits), 1)
+    return i, j, a[i], b[i], a[j], b[j]
 
 
 @dataclass(frozen=True)
@@ -340,15 +347,14 @@ class StripSlitDomain:
         for i, s in enumerate(slits):
             if not isinstance(s, SlitSpec):
                 raise GeometryError(f"slits[{i}] must be a SlitSpec, got {s!r}")
-        for i in range(len(slits)):
-            for j in range(i + 1, len(slits)):
-                d = segment_distance(
-                    slits[i].a, slits[i].b, slits[j].a, slits[j].b
-                )
-                if d <= 1e-12:
-                    raise OverlapError(
-                        f"slits {i} and {j} are not disjoint (distance {d:.2e})"
-                    )
+        i, j, pa, pb, qa, qb = _pairs(slits)
+        d = segment_distance(pa, pb, qa, qb)
+        close = np.flatnonzero(d <= 1e-12)
+        if close.size:
+            k = close[0]
+            raise OverlapError(
+                f"slits {i[k]} and {j[k]} are not disjoint (distance {d[k]:.2e})"
+            )
         object.__setattr__(self, "slits", slits)
 
     @property
@@ -384,16 +390,15 @@ def clearance_ratio(domain):
     so that rounding in a tilted slit's endpoints does not hide a pair)
     whose projections onto that direction overlap by a positive length, so
     that their holes stay apart; 1.0 when no pair faces another."""
-    bound, slits = 1.0, domain.slits
-    for i, p in enumerate(slits):
-        for q in slits[i + 1 :]:
-            dp, dq = p.b - p.a, q.b - q.a
-            parallel = abs((dq * np.conj(dp)).imag) <= 1e-12 * p.ell * q.ell
-            # p's far end, then q's ends, along p: p spans [0, t[0]]
-            t = ((np.array([p.b, q.a, q.b]) - p.a) * np.conj(dp)).real
-            if parallel and max(t[1:]) > 0.0 and min(t[1:]) < t[0]:
-                bound = min(bound, segment_distance(p.a, p.b, q.a, q.b) / (p.ell + q.ell))
-    return bound
+    _, _, pa, pb, qa, qb = _pairs(domain.slits)
+    dp, dq = pb - pa, qb - qa
+    lp, lq = np.abs(dp), np.abs(dq)
+    parallel = np.abs((dq * np.conj(dp)).imag) <= 1e-12 * lp * lq
+    # along p, which spans [0, tp]: q's ends at ta and tb
+    tp, ta, tb = (((z - pa) * np.conj(dp)).real for z in (pb, qa, qb))
+    facing = parallel & (np.maximum(ta, tb) > 0.0) & (np.minimum(ta, tb) < tp)
+    ratios = segment_distance(pa, pb, qa, qb)[facing] / (lp + lq)[facing]
+    return float(ratios.min(initial=1.0))
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,9 @@ class IterationConfig:
 
 @dataclass(frozen=True)
 class LadderLevel:
-    """One rung of the n-ladder: its node count, the outer steps it took and
-    the largest ``h_dev`` of its last solve (None when it solved nothing)."""
+    """One rung of the n-ladder that ran: its node count, the outer steps it
+    took and the largest ``h_dev`` of its last solve (None when it solved
+    nothing).  A rung that ``iterate`` skipped has no entry."""
 
     n: int
     steps: int
@@ -126,8 +127,11 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
     resolved level below it, or from ``initialize`` while none has
     resolved.  A coarse level that does not resolve the geometry (its first
     solve's largest h_dev fails ``resolves``, it misses eps, or it raises
-    GeometryError or ConvergenceError) hands nothing up.  ``max_iter`` caps
-    each level, and the top level alone decides ``converged``.
+    GeometryError or ConvergenceError) hands nothing up.  A resolved coarse
+    level that meets eps on its first step hands up exactly the parameters
+    it was given, so the levels between it and cfg.n, which would each run
+    that same one step, are skipped.  ``max_iter`` caps each level, and the
+    top level alone decides ``converged``.
 
     ``progress``, when given, receives one dict per outer step (k counted
     over all levels, n, error, gmres_iters, coarse_n, elapsed_ms).  Returns
@@ -146,6 +150,8 @@ def iterate(omega, cfg=IterationConfig(), progress=None):
         try:
             if _run_level(result, start, n, progress, coarse=True):
                 start = result.params
+                if result.levels[-1].steps == 1:
+                    break  # handed up what it was given; straight to cfg.n
         except (GeometryError, ConvergenceError):  # OverlapError is a GeometryError
             pass  # unresolved, like a level that returns False
         n *= 2

@@ -300,6 +300,34 @@ class TestDistances:
     def test_segment_distance_endpoint_gap(self):
         assert segment_distance(0, 1, 2, 3) == pytest.approx(1.0)
 
+    def test_segment_distance_broadcasts(self):
+        # one segment against three: crossing, parallel, beyond its end
+        q0 = np.array([-1j, 1j, 2 - 1j])
+        q1 = np.array([1j, 1 + 1j, 2 + 1j])
+        d = segment_distance(0, 1, q0, q1)
+        assert d.shape == (3,)
+        assert list(d) == pytest.approx([0.0, 1.0, 1.0])
+        # every pair of 20 random segments against the pair loop: 0 if they
+        # cross, else the nearest of the four endpoints; the same arithmetic,
+        # but numpy's complex product can round an array-by-array operand
+        # pair differently in the last bit, so equal to a few ulps
+        rng = np.random.default_rng(3)
+        p0, p1, q0, q1 = rng.normal(size=(4, 20)) + 1j * rng.normal(size=(4, 20))
+        ref = [
+            [
+                0.0 if segments_cross(a, b, c, e) else min(
+                    *point_segment_distance([c, e], a, b), *point_segment_distance([a, b], c, e)
+                )
+                for c, e in zip(q0, q1)
+            ]
+            for a, b in zip(p0, p1)
+        ]
+        d = segment_distance(p0[:, None], p1[:, None], q0, q1)
+        ref = np.array(ref)
+        assert 0 < (ref == 0.0).sum() < ref.size
+        assert np.array_equal(d == 0.0, ref == 0.0)
+        assert np.abs(d - ref).max() <= 4 * np.finfo(float).eps * ref.max()
+
     def test_segments_cross_broadcasts(self):
         # one segment against three: crossing, parallel, beyond its end
         q0 = np.array([-1j, 1j, 2 - 1j])
@@ -325,6 +353,12 @@ class TestDomain:
     def test_overlapping_slits_rejected(self):
         with pytest.raises(sc.OverlapError):
             sc.StripSlitDomain([sc.SlitSpec(-1, 1), sc.SlitSpec(-1j, 1j)])
+
+    def test_first_touching_pair_named(self):
+        # pairs are checked in the order (0, 1), (0, 2), (1, 2), (1, 3), ...
+        slits = [(-3, -2), (-1, 0), (0, 1), (0.5 + 0.5j, 0.5 - 0.5j)]
+        with pytest.raises(sc.OverlapError, match=r"^slits 1 and 2 are not disjoint \(distance 0"):
+            sc.StripSlitDomain([sc.SlitSpec(a, b) for a, b in slits])
 
     def test_from_dict(self):
         dom = sc.StripSlitDomain.from_dict(

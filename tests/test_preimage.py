@@ -250,18 +250,40 @@ class TestLadder:
 
     def test_climb_goes_on_past_a_failing_first_level(self, monkeypatch):
         # n=128 raises, so n=256 starts from the initial ellipses and hands
-        # its converged ones up to n=512, as a ladder starting at n=256 does
-        self.fail_at(monkeypatch, 128)
+        # its converged ones up to n=512, as a ladder starting at n=256 does;
+        # n=256 took 8 steps, so at n=1024 the rung n=512 still runs
         omega = single_slit_domain()
-        cfg = IterationConfig(n=512, eps=1e-10)
-        res = iterate(omega, cfg)
-        monkeypatch.undo()
-        assert [(lv.n, lv.steps) for lv in res.levels] == [(128, 0), (256, 8), (512, 1)]
+        for n, upper in [(512, [(512, 1)]), (1024, [(512, 1), (1024, 1)])]:
+            cfg = IterationConfig(n=n, eps=1e-10)
+            self.fail_at(monkeypatch, 128)
+            res = iterate(omega, cfg)
+            monkeypatch.undo()
+            assert [(lv.n, lv.steps) for lv in res.levels] == [(128, 0), (256, 8)] + upper
+            assert res.converged
+            monkeypatch.setattr(preimage, "LADDER_START", 256)
+            from_256 = iterate(omega, cfg)
+            monkeypatch.undo()
+            assert res.levels[1:] == from_256.levels
+            assert res.error_history == from_256.error_history
+
+    def test_one_step_rung_hands_straight_to_the_top(self, monkeypatch):
+        # n=256 meets eps on its first step from n=128's fixed point, so it
+        # hands up exactly what it was given: n=512, which would run that
+        # same step again, is skipped and n=1024 starts from those parameters
+        given = {}
+        run_level = preimage._run_level
+
+        def spy(result, params, n, *args, **kwargs):
+            given[n] = list(params)
+            return run_level(result, params, n, *args, **kwargs)
+
+        monkeypatch.setattr(preimage, "_run_level", spy)
+        res = iterate(single_slit_domain(), IterationConfig(n=1024, eps=1e-12))
+        assert [(lv.n, lv.steps) for lv in res.levels] == [(128, 10), (256, 1), (1024, 1)]
+        assert sorted(given) == [128, 256, 1024]
+        assert given[1024] == given[256]
         assert res.converged
-        monkeypatch.setattr(preimage, "LADDER_START", 256)
-        from_256 = iterate(omega, cfg)
-        assert res.levels[1:] == from_256.levels
-        assert res.error_history == from_256.error_history
+        assert res.error_history[-1] == 2.0610910733772815e-13
 
     def test_level_starts_from_last_resolved_level_below(self, monkeypatch):
         # n=256 raises, so n=512 starts from n=128's converged ellipses
